@@ -9,6 +9,16 @@ accepted (periodic, and affine in ``B**n``); they keep every downstream
 decision procedure exact, and arbitrary user generators are rejected when a
 document is parsed.
 
+Every fact about a tail family lives on its tail class, behind one protocol
+that both families provide: ``pair_at(j)`` (factor at tail position j),
+``first_zero_gap(j)`` (first zero gap at or after j), ``recurring_zero_gap``
+and ``recurring_nonzero_rank`` (witnesses for a recurring zero gap and a
+recurring nonzero smaller rank, or None), ``divergence()`` (why the sum of
+1 - gap diverges, or None), ``gap_limit()`` (the eventual gap bound),
+``recurring_primes()``, ``settle_depth()`` with ``remainder_bound(depth)``
+(the geometric certificate of a positive tail product), and ``kind``,
+``to_json`` and ``from_json`` (the document form).
+
 Factor indices are 1-based throughout.  Exchanging ``p`` and ``q`` in any
 factor does not change the symmetry it describes, so factors are normalized
 to ``p >= q`` on ingestion and all downstream code may rely on that.
@@ -19,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 
 class InvalidActionSpec(ValueError):
@@ -73,6 +84,7 @@ class PeriodicTail:
     """Tail that cycles through a fixed list of factors forever."""
 
     pairs: tuple[RankPair, ...]
+    kind: ClassVar[str] = "periodic"
 
     def __post_init__(self):
         if not self.pairs:
@@ -87,12 +99,75 @@ class PeriodicTail:
         """Factor at 1-based tail position j."""
         return self.pairs[(j - 1) % len(self.pairs)]
 
+    def first_zero_gap(self, j: int) -> int | None:
+        if not any(p.symmetric for p in self.pairs):
+            return None
+        return next(i for i in range(j, j + self.period) if self.pair_at(i).symmetric)
+
+    def _recurring(self, n0: int, kind: str, holds) -> dict | None:
+        for i, pair in enumerate(self.pairs):
+            if holds(pair):
+                return {
+                    "kind": kind,
+                    "period_position": i + 1,
+                    "first_index": n0 + i + 1,
+                    "pair": [pair.p, pair.q],
+                }
+        return None
+
+    def recurring_zero_gap(self, n0: int) -> dict | None:
+        return self._recurring(n0, "recurring_symmetric_factor", lambda p: p.symmetric)
+
+    def recurring_nonzero_rank(self, n0: int) -> dict | None:
+        return self._recurring(n0, "recurring_nonzero_smaller_rank", lambda p: p.q > 0)
+
+    def divergence(self) -> str | None:
+        small = [p.gap for p in self.pairs if p.gap < 1]
+        if not small:
+            return None
+        worst = max(small)
+        return (
+            f"a factor with gap ratio {worst} recurs every {self.period} "
+            f"factors, so the sum of (1 - gap) dominates the divergent "
+            f"constant series with term {1 - worst}"
+        )
+
+    def gap_limit(self) -> dict[str, Fraction]:
+        worst = max(p.gap for p in self.pairs)
+        return {"tail_gap_max": worst} if worst < 1 else {}
+
+    def recurring_primes(self) -> set[int]:
+        return {prime for p in self.pairs for prime in _factorize(p.size)}
+
+    def settle_depth(self) -> int:
+        # without divergence every gap ratio is 1, so nothing needs to settle
+        return 0
+
+    def remainder_bound(self, depth: int) -> Fraction:
+        return Fraction(0)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "pairs": [[p.p, p.q] for p in self.pairs]}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "PeriodicTail":
+        pairs_obj = obj.get("pairs")
+        if not isinstance(pairs_obj, list) or not pairs_obj:
+            raise InvalidActionSpec("periodic tail needs a nonempty 'pairs' list")
+        return cls(
+            tuple(_pair_from_json(e, f"tail.pairs[{i}]") for i, e in enumerate(pairs_obj))
+        )
+
 
 @dataclass(frozen=True)
 class AffinePowerTail:
     """Tail with closed form k(j) = A*B**j, p(j) = alpha*B**j + beta,
     q(j) = gamma*B**j + delta at 1-based tail position j (absolute factor
     index = prefix length + j).
+
+    The rank difference c*B**j + 2*beta, c = alpha - gamma, makes the gap
+    ratios converge to |c|/A.  When |c| = A the smaller rank is a constant e
+    and 1 - gap = 2*e / (A*B**j) once A*B**j >= 2*e.
     """
 
     B: int
@@ -101,6 +176,8 @@ class AffinePowerTail:
     beta: int
     gamma: int
     delta: int
+    kind: ClassVar[str] = "affine_power"
+    _FIELDS: ClassVar[tuple[str, ...]] = ("B", "A", "alpha", "beta", "gamma", "delta")
 
     def __post_init__(self):
         if self.B < 2:
@@ -125,8 +202,86 @@ class AffinePowerTail:
         p, q = self.raw_pair(j)
         return RankPair(p, q).normalized()
 
-    def size_at(self, j: int) -> int:
-        return self.A * self.B**j
+    def first_zero_gap(self, j: int) -> int | None:
+        c = self.alpha - self.gamma
+        if c == 0:
+            return j if self.beta == 0 else None
+        # c*B**i + 2*beta vanishes for at most one i because B**i is injective
+        x, rest = divmod(-2 * self.beta, c)
+        if rest or x < self.B:
+            return None
+        i = 0
+        while x % self.B == 0:
+            x //= self.B
+            i += 1
+        return i if x == 1 and i >= j else None
+
+    def recurring_zero_gap(self, n0: int) -> dict | None:
+        if self.alpha == self.gamma and self.beta == 0:
+            return {"kind": "identically_symmetric_tail", "first_index": n0 + 1}
+        return None
+
+    def eventual_smaller_rank(self) -> int | None:
+        """The constant (>= 0 by validation) the smaller rank settles to, or
+        None when both ranks grow with B**j."""
+        if self.alpha > 0 and self.gamma > 0:
+            return None
+        return self.delta if self.gamma == 0 else self.beta
+
+    def recurring_nonzero_rank(self, n0: int) -> dict | None:
+        e = self.eventual_smaller_rank()
+        if e == 0:
+            # no tail factor has a nonzero smaller rank at all
+            return None
+        return {
+            "kind": "recurring_nonzero_smaller_rank",
+            "eventual_smaller_rank": "unbounded" if e is None else e,
+        }
+
+    def _limit(self) -> Fraction:
+        return Fraction(abs(self.alpha - self.gamma), self.A)
+
+    def divergence(self) -> str | None:
+        limit = self._limit()
+        if limit < 1:
+            return (
+                f"gap ratios converge to {limit} < 1, so the sum of (1 - gap) "
+                f"dominates the divergent constant series with term {1 - limit}"
+            )
+        return None
+
+    def gap_limit(self) -> dict[str, Fraction]:
+        return {"tail_gap_limit": self._limit()}
+
+    def recurring_primes(self) -> set[int]:
+        return set(_factorize(self.A)) | set(_factorize(self.B))
+
+    def settle_depth(self) -> int:
+        """First tail position j >= 1 with A*B**j >= 2*e (needs |c| = A)."""
+        e = self.eventual_smaller_rank()
+        j = 1
+        while self.A * self.B**j < 2 * e:
+            j += 1
+        return j
+
+    def remainder_bound(self, depth: int) -> Fraction:
+        """Bound r with prod over j > depth of gap(j) >= 1 - r, from the
+        geometric series of 1 - gap (needs depth >= settle_depth())."""
+        e = self.eventual_smaller_rank()
+        return Fraction(2 * e, self.A * (self.B - 1) * self.B**depth)
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **{key: getattr(self, key) for key in self._FIELDS}}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "AffinePowerTail":
+        fields = {}
+        for key in cls._FIELDS:
+            val = obj.get(key)
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise InvalidActionSpec(f"affine tail needs integer field {key!r}")
+            fields[key] = val
+        return cls(**fields)
 
 
 Tail = PeriodicTail | AffinePowerTail
@@ -273,13 +428,7 @@ def supernatural_of_algebra(spec: ActionSpec) -> SupernaturalNumber:
     for pair in spec.prefix:
         for prime, exp in _factorize(pair.size).items():
             acc[prime] = acc.get(prime, 0) + exp
-    if isinstance(spec.tail, PeriodicTail):
-        recurring = set()
-        for pair in spec.tail.pairs:
-            recurring |= set(_factorize(pair.size))
-    else:
-        recurring = set(_factorize(spec.tail.A)) | set(_factorize(spec.tail.B))
-    for prime in recurring:
+    for prime in spec.tail.recurring_primes():
         acc[prime] = math.inf
     return SupernaturalNumber(tuple((p, e) for p, e in acc.items()))
 
@@ -289,25 +438,10 @@ def supernatural_of_algebra(spec: ActionSpec) -> SupernaturalNumber:
 
 
 def spec_to_json(spec: ActionSpec) -> dict:
-    if spec.tail is None:
-        tail: dict = {"kind": "none"}
-    elif isinstance(spec.tail, PeriodicTail):
-        tail = {"kind": "periodic", "pairs": [[p.p, p.q] for p in spec.tail.pairs]}
-    else:
-        t = spec.tail
-        tail = {
-            "kind": "affine_power",
-            "B": t.B,
-            "A": t.A,
-            "alpha": t.alpha,
-            "beta": t.beta,
-            "gamma": t.gamma,
-            "delta": t.delta,
-        }
     return {
         "name": spec.name,
         "prefix": [[p.p, p.q] for p in spec.prefix],
-        "tail": tail,
+        "tail": {"kind": "none"} if spec.tail is None else spec.tail.to_json(),
     }
 
 
@@ -335,24 +469,12 @@ def spec_from_json(obj) -> ActionSpec:
     if not isinstance(tail_obj, dict) or "kind" not in tail_obj:
         raise InvalidActionSpec("'tail' must be an object with a 'kind' field")
     kind = tail_obj["kind"]
+    family = next((f for f in (PeriodicTail, AffinePowerTail) if f.kind == kind), None)
     tail: Tail | None
     if kind == "none":
         tail = None
-    elif kind == "periodic":
-        pairs_obj = tail_obj.get("pairs")
-        if not isinstance(pairs_obj, list) or not pairs_obj:
-            raise InvalidActionSpec("periodic tail needs a nonempty 'pairs' list")
-        tail = PeriodicTail(
-            tuple(_pair_from_json(e, f"tail.pairs[{i}]") for i, e in enumerate(pairs_obj))
-        )
-    elif kind == "affine_power":
-        fields = {}
-        for key in ("B", "A", "alpha", "beta", "gamma", "delta"):
-            val = tail_obj.get(key)
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise InvalidActionSpec(f"affine tail needs integer field {key!r}")
-            fields[key] = val
-        tail = AffinePowerTail(**fields)
+    elif family is not None:
+        tail = family.from_json(tail_obj)
     else:
         raise InvalidActionSpec(
             f"unsupported tail kind {kind!r}; only 'periodic', 'affine_power' "

@@ -9,13 +9,11 @@ was exhausted.  Unknown never collapses to no.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .actions import (
     ActionSpec,
     FiniteActionError,
-    PeriodicTail,
     SupernaturalNumber,
     supernatural_of_algebra,
 )
@@ -26,9 +24,8 @@ from .products import (
     TailPositive,
     TailUnknown,
     TailZero,
-    affine_isolated_zero,
+    first_zero_gap_after,
     gap_product_tail,
-    last_zero_gap_index,
 )
 
 YES = "yes"
@@ -63,7 +60,7 @@ class Verdict:
         return self.decision == UNKNOWN
 
 
-def _require_infinite(spec: ActionSpec):
+def require_infinite(spec: ActionSpec):
     if spec.tail is None:
         raise FiniteActionError(
             f"action {spec.name!r} has only finitely many factors; "
@@ -71,40 +68,25 @@ def _require_infinite(spec: ActionSpec):
         )
 
 
-def _prefix_symmetric_indices(spec: ActionSpec) -> list[int]:
-    return [i + 1 for i, p in enumerate(spec.prefix) if p.symmetric]
+def _zero_gap_indices(spec: ActionSpec) -> list[int]:
+    """Every factor index with gap zero; needs a tail without recurring ones."""
+    out = []
+    z = first_zero_gap_after(spec, 0)
+    while z is not None:
+        out.append(z)
+        z = first_zero_gap_after(spec, z)
+    return out
 
 
 def strict_rokhlin_verdict(spec: ActionSpec) -> Verdict:
     """Yes iff infinitely many factors have gap ratio zero."""
-    _require_infinite(spec)
-    n0 = len(spec.prefix)
-    tail = spec.tail
+    require_infinite(spec)
     anchors = cite("strict-rokhlin-criterion", "rank-exchange")
-    if isinstance(tail, PeriodicTail):
-        for i, pair in enumerate(tail.pairs):
-            if pair.symmetric:
-                return Verdict(
-                    YES,
-                    {
-                        "kind": "recurring_symmetric_factor",
-                        "period_position": i + 1,
-                        "first_index": n0 + i + 1,
-                        "pair": [pair.p, pair.q],
-                    },
-                    anchors,
-                )
-    elif tail.alpha == tail.gamma and tail.beta == 0:
-        return Verdict(
-            YES,
-            {"kind": "identically_symmetric_tail", "first_index": n0 + 1},
-            anchors,
-        )
-    sym = _prefix_symmetric_indices(spec)
-    if not isinstance(tail, PeriodicTail):
-        j = affine_isolated_zero(tail)
-        if j is not None:
-            sym.append(n0 + j)
+    n0 = len(spec.prefix)
+    recurring = spec.tail.recurring_zero_gap(n0)
+    if recurring is not None:
+        return Verdict(YES, recurring, anchors)
+    sym = _zero_gap_indices(spec)
     return Verdict(
         NO,
         {
@@ -121,33 +103,23 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
 
     The condition only depends on the tail rule: finitely many zero gaps never
     make every tail product vanish, so the decision reduces to a recurring
-    zero gap or a divergent sum of (1 - gap) along the tail.
+    zero gap or a divergent sum of (1 - gap) along the tail; a recurring zero
+    gap makes that sum diverge too.
     """
-    _require_infinite(spec)
-    n0 = len(spec.prefix)
-    tail = spec.tail
+    require_infinite(spec)
     anchors = cite("tracial-rokhlin-criterion")
-    if isinstance(tail, PeriodicTail):
-        tail_vanishes = any(p.gap < 1 for p in tail.pairs)
-    else:
-        tail_vanishes = abs(tail.alpha - tail.gamma) < tail.A
-    if tail_vanishes:
-        certificate = gap_product_tail(spec, n0, cutoff)
+    if spec.tail.divergence() is not None:
+        certificate = gap_product_tail(spec, len(spec.prefix), cutoff)
         assert isinstance(certificate, TailZero)
         witness: dict = {"kind": "vanishing_tail_products"}
         if certificate.zero_index is not None:
             witness["recurring_zero_gap_index"] = certificate.zero_index
         else:
             witness["divergence"] = certificate.divergence
-        if isinstance(tail, PeriodicTail):
-            gaps = [p.gap for p in tail.pairs]
-            if all(g < 1 for g in gaps):
-                witness["tail_gap_max"] = max(gaps)
-        else:
-            witness["tail_gap_limit"] = Fraction(abs(tail.alpha - tail.gamma), tail.A)
+        witness.update(spec.tail.gap_limit())
         return Verdict(YES, witness, anchors)
 
-    m = last_zero_gap_index(spec)
+    m = max(_zero_gap_indices(spec), default=0)
     result = gap_product_tail(spec, m, cutoff)
     if isinstance(result, TailUnknown):
         return Verdict(
@@ -181,45 +153,10 @@ def outer_verdict(spec: ActionSpec) -> Verdict:
     conjugation by a finite tensor of sign unitaries, and the crossed product
     splits into two copies of the ambient algebra.
     """
-    _require_infinite(spec)
-    n0 = len(spec.prefix)
-    tail = spec.tail
-    anchors = cite("outerness-criterion")
-    if isinstance(tail, PeriodicTail):
-        for i, pair in enumerate(tail.pairs):
-            if pair.q > 0:
-                return Verdict(
-                    YES,
-                    {
-                        "kind": "recurring_nonzero_smaller_rank",
-                        "period_position": i + 1,
-                        "first_index": n0 + i + 1,
-                        "pair": [pair.p, pair.q],
-                    },
-                    anchors,
-                )
-    else:
-        # Each raw rank is affine in B**j: eventually unbounded when its
-        # leading coefficient is positive, constant otherwise.  The smaller
-        # normalized rank is eventually positive iff both are.
-        p_eventual = None if tail.alpha > 0 else tail.beta
-        q_eventual = None if tail.gamma > 0 else tail.delta
-        if (p_eventual is None or p_eventual > 0) and (
-            q_eventual is None or q_eventual > 0
-        ):
-            eventual = p_eventual if q_eventual is None else q_eventual
-            return Verdict(
-                YES,
-                {
-                    "kind": "recurring_nonzero_smaller_rank",
-                    "eventual_smaller_rank": (
-                        "unbounded" if eventual is None else eventual
-                    ),
-                },
-                anchors,
-            )
-        # Otherwise validation forces the constant side to be identically
-        # zero, so no tail factor has a nonzero smaller rank at all.
+    require_infinite(spec)
+    recurring = spec.tail.recurring_nonzero_rank(len(spec.prefix))
+    if recurring is not None:
+        return Verdict(YES, recurring, cite("outerness-criterion"))
     last = max((i + 1 for i, p in enumerate(spec.prefix) if p.q > 0), default=0)
     return Verdict(
         NO,
@@ -232,10 +169,27 @@ def outer_verdict(spec: ActionSpec) -> Verdict:
     )
 
 
+def _simple_from(outer: Verdict) -> Verdict:
+    return replace(outer, citations=cite("outerness-criterion"))
+
+
+def _uhf_from(
+    spec: ActionSpec, strict: Verdict
+) -> tuple[Verdict, SupernaturalNumber | None]:
+    anchors = cite("strict-rokhlin-criterion", "uhf-supernatural")
+    if strict.is_yes:
+        sn = supernatural_of_algebra(spec)
+        return Verdict(YES, {**strict.witness, "supernatural": sn}, anchors), sn
+    return replace(strict, citations=anchors), None
+
+
+def _trace_count_from(tracial: Verdict) -> int | str:
+    return {YES: 1, NO: 2}.get(tracial.decision, UNKNOWN)
+
+
 def crossed_product_simple_verdict(spec: ActionSpec) -> Verdict:
     """Simplicity of the crossed product; same decision as outerness."""
-    outer = outer_verdict(spec)
-    return Verdict(outer.decision, outer.witness, cite("outerness-criterion"))
+    return _simple_from(outer_verdict(spec))
 
 
 def crossed_product_uhf_verdict(
@@ -246,24 +200,12 @@ def crossed_product_uhf_verdict(
     When yes, the crossed product is the matrix colimit of sizes t(n) and its
     supernatural number equals that of the ambient algebra.
     """
-    strict = strict_rokhlin_verdict(spec)
-    anchors = cite("strict-rokhlin-criterion", "uhf-supernatural")
-    if strict.is_yes:
-        sn = supernatural_of_algebra(spec)
-        witness = dict(strict.witness)
-        witness["supernatural"] = sn
-        return Verdict(YES, witness, anchors), sn
-    return Verdict(strict.decision, strict.witness, anchors), None
+    return _uhf_from(spec, strict_rokhlin_verdict(spec))
 
 
 def extreme_trace_count(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> int | str:
     """1 when every tail gap product vanishes, 2 otherwise."""
-    tracial = tracial_rokhlin_verdict(spec, cutoff)
-    if tracial.is_yes:
-        return 1
-    if tracial.is_no:
-        return 2
-    return UNKNOWN
+    return _trace_count_from(tracial_rokhlin_verdict(spec, cutoff))
 
 
 ALWAYS_TRUE_FACTS: dict[str, tuple[str, ...]] = {
@@ -315,16 +257,19 @@ class ClassificationReport:
 def classification_report(
     spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF
 ) -> ClassificationReport:
-    _require_infinite(spec)
-    uhf, sn = crossed_product_uhf_verdict(spec)
+    require_infinite(spec)
+    strict = strict_rokhlin_verdict(spec)
+    tracial = tracial_rokhlin_verdict(spec, cutoff)
+    outer = outer_verdict(spec)
+    uhf, sn = _uhf_from(spec, strict)
     return ClassificationReport(
         spec=spec,
-        strict_rokhlin=strict_rokhlin_verdict(spec),
-        tracial_rokhlin=tracial_rokhlin_verdict(spec, cutoff),
-        outer=outer_verdict(spec),
-        crossed_product_simple=crossed_product_simple_verdict(spec),
+        strict_rokhlin=strict,
+        tracial_rokhlin=tracial,
+        outer=outer,
+        crossed_product_simple=_simple_from(outer),
         crossed_product_uhf=uhf,
         crossed_product_supernatural=sn,
-        extreme_trace_count=extreme_trace_count(spec, cutoff),
+        extreme_trace_count=_trace_count_from(tracial),
         cutoff=cutoff,
     )

@@ -117,6 +117,18 @@ def round_down(x: Fraction, digits: int = 12) -> Fraction:
     return out
 
 
+def round_down_above(x: Fraction, bound: Fraction) -> Fraction:
+    """Largest decimal fraction <= x at the fewest digits, at least 12, that
+    still exceeds bound < x, so the rounded value certifies x > bound."""
+    x = Fraction(x)
+    scale = 10**12
+    out = Fraction(x.numerator * scale // x.denominator, scale)
+    while out <= bound:
+        scale *= 10
+        out = Fraction(x.numerator * scale // x.denominator, scale)
+    return out
+
+
 def round_up(x: Fraction, digits: int = 12) -> Fraction:
     """Smallest decimal fraction with the given precision that is >= x."""
     return -round_down(-Fraction(x), digits)

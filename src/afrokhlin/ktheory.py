@@ -18,7 +18,7 @@ a torsion-respecting torsion block; everything else is rejected loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .actions import (
@@ -29,7 +29,7 @@ from .actions import (
 )
 from .citations import cite
 from .classify import NO, UNKNOWN, YES, Verdict, strict_rokhlin_verdict
-from .intervals import round_down, round_up
+from .intervals import round_down, round_down_above, round_up
 from .products import (
     DEFAULT_CUTOFF,
     TailPositive,
@@ -229,7 +229,7 @@ def is_positive(
                 {
                     "kind": "tail_threshold_exceeded",
                     "threshold": ratio,
-                    "tail_lower": round_down(tail.lower),
+                    "tail_lower": round_down_above(tail.lower, ratio),
                 },
                 anchors,
             )
@@ -265,9 +265,9 @@ def is_positive(
 
 def is_totally_ordered(spec: ActionSpec) -> Verdict:
     """Total order on K0 of the crossed product; decided with strict Rokhlin."""
-    strict = strict_rokhlin_verdict(spec)
-    return Verdict(
-        strict.decision, strict.witness, cite("strict-rokhlin-criterion", "k0-colimit")
+    return replace(
+        strict_rokhlin_verdict(spec),
+        citations=cite("strict-rokhlin-criterion", "k0-colimit"),
     )
 
 

@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import (
-    ActionSpec,
-    AffinePowerTail,
-    FiniteActionError,
-    PeriodicTail,
-    RankPair,
-)
+from .actions import ActionSpec, FiniteActionError, RankPair
 from .intervals import RatInterval
 
 DEFAULT_CUTOFF = 64
@@ -113,69 +107,16 @@ def condense(spec: ActionSpec, m: int, n: int) -> RankPair:
     return RankPair((size + diff) // 2, (size - diff) // 2)
 
 
-def affine_isolated_zero(tail: AffinePowerTail) -> int | None:
-    """Tail position j of the unique factor with gap zero, if one exists.
-
-    The raw rank difference is c*B**j + d with c = alpha - gamma and
-    d = 2*beta; it vanishes for at most one j because B**j is injective.
-    """
-    c = tail.alpha - tail.gamma
-    d = 2 * tail.beta
-    if c == 0:
-        return None
-    if (-d) % c != 0:
-        return None
-    x = (-d) // c
-    if x < tail.B:
-        return None
-    j = 0
-    while x % tail.B == 0:
-        x //= tail.B
-        j += 1
-    return j if x == 1 else None
-
-
 def first_zero_gap_after(spec: ActionSpec, stage: int) -> int | None:
     """Smallest factor index n > stage with gap ratio zero, or None."""
     n0 = len(spec.prefix)
     for i in range(max(stage, 0) + 1, n0 + 1):
         if spec.prefix[i - 1].symmetric:
             return i
-    tail = spec.tail
-    if tail is None:
+    if spec.tail is None:
         return None
-    if isinstance(tail, PeriodicTail):
-        symmetric = {i for i, p in enumerate(tail.pairs) if p.symmetric}
-        if not symmetric:
-            return None
-        start = max(stage + 1, n0 + 1)
-        for n in range(start, start + tail.period):
-            if (n - n0 - 1) % tail.period in symmetric:
-                return n
-        return None
-    c = tail.alpha - tail.gamma
-    if c == 0 and tail.beta == 0:
-        return max(stage + 1, n0 + 1)
-    j = affine_isolated_zero(tail)
-    if j is not None and n0 + j > stage:
-        return n0 + j
-    return None
-
-
-def last_zero_gap_index(spec: ActionSpec) -> int:
-    """Largest factor index with gap zero, or 0 if none exists.
-
-    Only meaningful when finitely many zero gaps exist (the caller decides
-    that from the tail rule first).
-    """
-    last = max(
-        (i + 1 for i, p in enumerate(spec.prefix) if p.symmetric), default=0
-    )
-    if isinstance(spec.tail, AffinePowerTail):
-        j = affine_isolated_zero(spec.tail)
-        if j is not None:
-            last = max(last, len(spec.prefix) + j)
-    return last
+    j = spec.tail.first_zero_gap(max(stage - n0, 0) + 1)
+    return None if j is None else n0 + j
 
 
 def gap_product_tail(
@@ -198,46 +139,21 @@ def gap_product_tail(
     z = first_zero_gap_after(spec, m)
     if z is not None:
         return TailZero(zero_index=z)
-
     tail = spec.tail
-    if isinstance(tail, PeriodicTail):
-        small = [p.gap for p in tail.pairs if p.gap < 1]
-        if small:
-            worst = max(small)
-            return TailZero(
-                divergence=(
-                    f"a factor with gap ratio {worst} recurs every {tail.period} "
-                    f"factors, so the sum of (1 - gap) dominates the divergent "
-                    f"constant series with term {1 - worst}"
-                )
-            )
-        value = gap_product(spec, m, max(m, n0))
-        return TailPositive(value, value)
+    divergence = tail.divergence()
+    if divergence is not None:
+        return TailZero(divergence=divergence)
 
-    c = tail.alpha - tail.gamma
-    if abs(c) < tail.A:
-        limit = Fraction(abs(c), tail.A)
-        return TailZero(
-            divergence=(
-                f"gap ratios converge to {limit} < 1, so the sum of (1 - gap) "
-                f"dominates the divergent constant series with term {1 - limit}"
-            )
-        )
-
-    # |c| == A: the smaller rank is eventually the constant e, and beyond the
-    # settling point 1 - gap = 2*e / (A * B**j), a geometric series.
-    e = tail.delta if tail.gamma == 0 else tail.beta
-    j_settle = 1
-    while tail.A * tail.B**j_settle < 2 * e:
-        j_settle += 1
-    if j_settle > cutoff:
+    settle = tail.settle_depth()
+    if settle > cutoff:
         upper = gap_product(spec, m, max(m, n0 + cutoff))
         return TailUnknown(cutoff=cutoff, lower=Fraction(0), upper=upper)
-    depth = max(j_settle, m - n0) + cutoff
-    end = n0 + depth
-    partial = gap_product(spec, m, end)
-    remainder = Fraction(2 * e, tail.A * (tail.B - 1) * tail.B**depth)
-    return TailPositive(partial * (1 - remainder), partial)
+    depth = max(settle, m - n0)
+    if tail.remainder_bound(depth):
+        # a nonzero remainder shrinks geometrically: go cutoff factors deeper
+        depth += cutoff
+    partial = gap_product(spec, m, n0 + depth)
+    return TailPositive(partial * (1 - tail.remainder_bound(depth)), partial)
 
 
 def tail_result_interval(result: TailProductResult) -> RatInterval:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import ActionSpec, FiniteActionError
-from .classify import UndecidedError, tracial_rokhlin_verdict
-from .intervals import RatInterval
+from .classify import UndecidedError, require_infinite
+from .intervals import RatInterval, collapse
 from .products import DEFAULT_CUTOFF, TailUnknown, gap_product_tail, tail_result_interval
 
 Weight = Fraction | RatInterval
@@ -57,20 +57,16 @@ class MixingMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Weight, Weight], tuple[Weight, Weight]]:
-        lam = self.lam
-        same = (1 + RatInterval.hull(lam)) / 2
-        cross = (1 - RatInterval.hull(lam)) / 2
-        if isinstance(lam, Fraction) or isinstance(lam, int):
-            same, cross = same.lo, cross.lo
+        lam = RatInterval.hull(self.lam)
+        same = collapse((1 + lam) / 2)
+        cross = collapse((1 - lam) / 2)
         return ((same, cross), (cross, same))
 
     def apply(self, r: Weight, s: Weight) -> tuple[Weight, Weight]:
         (same, cross), _ = self.entries
         new_r = RatInterval.hull(same) * r + RatInterval.hull(cross) * s
         new_s = RatInterval.hull(cross) * r + RatInterval.hull(same) * s
-        if new_r.is_exact and new_s.is_exact:
-            return new_r.lo, new_s.lo
-        return new_r, new_s
+        return collapse(new_r), collapse(new_s)
 
 
 def mixing_matrix(lam: Weight) -> MixingMatrix:
@@ -97,26 +93,26 @@ def extreme_trace_vector(
         raise ValueError("extreme must be 0 or 1")
     if n < 0:
         raise ValueError("stage must be >= 0")
-    tracial = tracial_rokhlin_verdict(spec, cutoff)
-    if tracial.is_yes:
+    # The tracial verdict decides the trace count from the tail rule alone:
+    # a divergent sum of (1 - gap) gives a unique trace, and otherwise the
+    # count is undecided exactly when the tail does not settle by the cutoff.
+    require_infinite(spec)
+    if cutoff < 1:
+        raise ValueError("cutoff must be positive")
+    if spec.tail.divergence() is not None:
         raise UniqueTraceError(
             f"action {spec.name!r} has a unique tracial state; "
             "only the invariant trace vector exists"
         )
-    if tracial.is_unknown:
+    if spec.tail.settle_depth() > cutoff:
         raise UndecidedError(
             f"trace count undecided at cutoff {cutoff} for action {spec.name!r}"
         )
     result = gap_product_tail(spec, n, cutoff)
-    if isinstance(result, TailUnknown):
-        raise UndecidedError(
-            f"tail product undecided at cutoff {cutoff} for stage {n}"
-        )
+    assert not isinstance(result, TailUnknown)
     tail = tail_result_interval(result)
-    r = (1 + tail) / 2
-    s = (1 - tail) / 2
-    if r.is_exact:
-        r, s = r.lo, s.lo
+    r = collapse((1 + tail) / 2)
+    s = collapse((1 - tail) / 2)
     if extreme == 1:
         return TraceVector(n, r, s)
     return TraceVector(n, s, r)
@@ -131,5 +127,4 @@ def trace_of_element(spec: ActionSpec, el, tv: TraceVector) -> Weight:
     if el.stage > 0 and spec.tail is None and el.stage > len(spec.prefix):
         raise FiniteActionError("stage beyond the final factor of a finite action")
     total = spec.total_size(el.stage)
-    value = (RatInterval.hull(tv.r) * el.a + RatInterval.hull(tv.s) * el.b) / total
-    return value.lo if value.is_exact else value
+    return collapse((RatInterval.hull(tv.r) * el.a + RatInterval.hull(tv.s) * el.b) / total)

@@ -3,8 +3,9 @@
 Each oracle takes a route the implementation under test never uses:
 condensation is checked by literally tensoring diagonal sign matrices and
 counting eigenvalues, positivity by brute-force search over the reachable
-stages of a truncated system plus the exact end rule of a known tail, and
-tail products by deep partial products with elementary remainder bounds.
+stages of a truncated system plus the exact end rule of a known tail, tail
+products by deep partial products with elementary remainder bounds, and the
+tail-family facts by scanning the factors of a tail one position at a time.
 """
 
 from __future__ import annotations
@@ -93,3 +94,35 @@ def tower_base_exists(gs: FiniteGSet) -> bool:
         if ok and len(seen) == gs.size:
             return True
     return False
+
+
+def _small_primes(n: int, bound: int = 100) -> set[int]:
+    out = set()
+    for d in range(2, bound):
+        while n % d == 0:
+            out.add(d)
+            n //= d
+    assert n == 1, "factor size has a prime beyond the oracle's trial bound"
+    return out
+
+
+def scanned_tail_facts(tail, depth: int = 40) -> dict:
+    """Tail facts read off pair_at(j) for j = 1 .. 2*depth, never from a
+    closed form.  Positions past ``depth`` stand for the eventual behaviour:
+    the generated tails (periods <= 3, offsets below 13) settle long before.
+    """
+    pairs = [tail.pair_at(j) for j in range(1, 2 * depth + 1)]
+    late = pairs[depth:]
+    ranks = [p.q for p in late]
+    return {
+        "pairs": pairs,
+        "zeros": [j for j, p in enumerate(pairs, 1) if p.symmetric],
+        "zero_recurs": any(p.symmetric for p in late),
+        "diverges": sum(1 - p.gap for p in late) >= 1,
+        "gap_sup": max(p.gap for p in late),
+        "first_nonzero_rank": next((j for j, p in enumerate(pairs, 1) if p.q > 0), None),
+        "rank_recurs": any(ranks),
+        "rank_grows": all(a < b for a, b in zip(ranks, ranks[1:])),
+        "late_ranks": set(ranks),
+        "primes": set().union(*(_small_primes(p.size) for p in late)),
+    }

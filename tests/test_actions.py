@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from afrokhlin import (
     spec_to_json,
     supernatural_of_algebra,
 )
+from oracles import scanned_tail_facts
 from specgen import random_spec
 
 INF = math.inf
@@ -177,3 +179,72 @@ def test_json_rejects_bad_pairs():
         )
     with pytest.raises(InvalidActionSpec):
         spec_from_json({"name": "", "prefix": [], "tail": {"kind": "none"}})
+
+
+def check_tail_protocol(tail, n0: int, depth: int = 40) -> dict:
+    facts = scanned_tail_facts(tail, depth)
+    pairs, zeros = facts["pairs"], facts["zeros"]
+    for j in range(1, depth + 1):
+        assert tail.first_zero_gap(j) == next((z for z in zeros if z >= j), None)
+
+    recurring = tail.recurring_zero_gap(n0)
+    assert (recurring is not None) == facts["zero_recurs"]
+    if recurring is not None:
+        assert recurring["first_index"] == n0 + zeros[0]
+        assert recurring.get("period_position", zeros[0]) == zeros[0]
+
+    rank = tail.recurring_nonzero_rank(n0)
+    assert (rank is not None) == facts["rank_recurs"]
+    if rank is not None and "first_index" in rank:
+        first = facts["first_nonzero_rank"]
+        assert rank["first_index"] == n0 + first
+        p = pairs[first - 1]
+        assert rank["pair"] == [p.p, p.q]
+    elif rank is not None:
+        eventual = rank["eventual_smaller_rank"]
+        if eventual == "unbounded":
+            assert facts["rank_grows"]
+        else:
+            assert facts["late_ranks"] == {eventual}
+
+    assert (tail.divergence() is not None) == facts["diverges"]
+    bound = tail.gap_limit()
+    if bound:
+        (value,) = bound.values()
+        assert abs(value - facts["gap_sup"]) < Fraction(1, 10**6)
+    else:
+        assert facts["gap_sup"] == 1
+    assert tail.recurring_primes() == facts["primes"]
+
+    if not facts["diverges"]:
+        # the smaller rank is constant from the settle depth on, and not before
+        settle = tail.settle_depth()
+        assert settle < depth
+        assert len({p.q for p in pairs[max(settle, 1) - 1 :]}) == 1
+        if settle > 1:
+            assert pairs[settle - 2].q != pairs[settle - 1].q
+        for d in range(settle, settle + 4):
+            rest = Fraction(1)
+            for p in pairs[d:]:
+                rest *= p.gap
+            assert rest >= 1 - tail.remainder_bound(d)
+
+    assert type(tail).from_json(tail.to_json()) == tail
+    return facts
+
+
+def test_tail_protocol_matches_scan():
+    rng = random.Random(53)
+    seen = {"periodic": 0, "affine": 0, "identically_symmetric": 0, "isolated_zero": 0}
+    for _ in range(1500):
+        spec = random_spec(rng)
+        facts = check_tail_protocol(spec.tail, len(spec.prefix))
+        if spec.tail.kind == "periodic":
+            seen["periodic"] += 1
+            continue
+        seen["affine"] += 1
+        if facts["zero_recurs"]:
+            seen["identically_symmetric"] += 1
+        elif facts["zeros"]:
+            seen["isolated_zero"] += 1
+    assert min(seen.values()) >= 5, seen

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from afrokhlin import (
+    FIXTURE_NAMES,
     ActionSpec,
     FiniteActionError,
     PeriodicTail,
@@ -11,12 +12,14 @@ from afrokhlin import (
     classification_report,
     condense,
     extreme_trace_count,
+    extreme_trace_vector,
     fixture,
     gap,
     outer_verdict,
     strict_rokhlin_verdict,
     tracial_rokhlin_verdict,
 )
+from afrokhlin import classify, traces
 from specgen import random_pair, random_spec
 
 
@@ -170,3 +173,32 @@ def test_tracial_unknown_at_tiny_cutoff_then_decided():
     assert shallow.witness["cutoff"] == 1
     deep = tracial_rokhlin_verdict(spec, cutoff=64)
     assert deep.is_no
+
+
+def count_calls(monkeypatch, modules, names) -> dict[str, int]:
+    """Replace each name in each module by one counting wrapper per name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(modules[0], name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_report_computes_each_verdict_once(monkeypatch, name):
+    names = ("strict_rokhlin_verdict", "tracial_rokhlin_verdict", "outer_verdict", "gap_product_tail")
+    counts = count_calls(monkeypatch, [classify], names)
+    classification_report(fixture(name))
+    assert counts == dict.fromkeys(names, 1)
+
+
+def test_extreme_trace_vector_makes_one_tail_call(monkeypatch):
+    counts = count_calls(monkeypatch, [classify, traces], ["gap_product_tail"])
+    extreme_trace_vector(fixture("car3"), 1, 5, 64)
+    assert counts["gap_product_tail"] == 1

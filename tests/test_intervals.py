@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from afrokhlin.intervals import RatInterval, collapse, round_down, round_outward, round_up
+from afrokhlin.intervals import (
+    RatInterval,
+    collapse,
+    round_down,
+    round_down_above,
+    round_outward,
+    round_up,
+)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=997)
 
@@ -62,3 +69,13 @@ def test_round_down_keeps_tiny_values_positive():
 def test_round_outward_contains(a, b):
     iv = RatInterval(min(a, b), max(a, b))
     assert round_outward(iv).contains_interval(iv)
+
+
+def test_round_down_above_uses_fewest_digits():
+    third = Fraction(1, 3)
+    assert round_down_above(third, Fraction(0)) == round_down(third)
+    twelve = Fraction(333333333333, 10**12)
+    assert round_down_above(third, twelve) == Fraction(3333333333333, 10**13)
+    assert round_down_above(third, third - Fraction(1, 10**20)) == Fraction(
+        33333333333333333333, 10**20
+    )

@@ -16,6 +16,7 @@ from afrokhlin import (
     fgab_colimit,
     fixture,
     flip,
+    gap_product_tail,
     is_equal,
     is_positive,
     is_totally_ordered,
@@ -372,3 +373,15 @@ def test_presentation_validation():
             FgAbPresentation(1, (), (SupernaturalNumber.from_dict({2: INF}),)),
             [[[1]]],
         )
+
+
+def test_threshold_no_witness_stays_above_threshold():
+    # a threshold 1e-15 below the certified lower end: 12 digits cannot separate them
+    spec = fixture("car3")
+    tail = gap_product_tail(spec, 1, 64)
+    ratio = tail.lower - Fraction(1, 10**15)
+    num, den = ratio.numerator, ratio.denominator
+    v = is_positive(spec, K0Element(1, num + den, num - den), 64)
+    assert v.is_no and v.witness["kind"] == "tail_threshold_exceeded"
+    assert v.witness["threshold"] == ratio
+    assert ratio < v.witness["tail_lower"] <= tail.lower
