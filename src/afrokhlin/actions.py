@@ -341,15 +341,52 @@ def factor_at(spec: ActionSpec, n: int) -> RankPair:
 # Supernatural numbers
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality: Miller-Rabin below _MR_EXACT_BELOW, trial
+    division at and above it."""
+    if n < 2:
+        return False
+    if n >= _MR_EXACT_BELOW:
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("can only factor positive integers")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+    # trial division stops early once the cofactor left over is prime
+    prime = _is_prime(n)
+    while not prime and d * d <= n:
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            prime = _is_prime(n)
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
@@ -369,7 +406,7 @@ class SupernaturalNumber:
     def __post_init__(self):
         seen = {}
         for prime, exp in self.exponents:
-            if prime < 2 or any(prime % d == 0 for d in range(2, int(prime**0.5) + 1)):
+            if not _is_prime(prime):
                 raise ValueError(f"{prime} is not prime")
             if exp != math.inf and (not isinstance(exp, int) or exp < 1):
                 raise ValueError(f"exponent of {prime} must be a positive integer or inf")

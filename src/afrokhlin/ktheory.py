@@ -36,7 +36,6 @@ from .products import (
     TailUnknown,
     TailZero,
     first_zero_gap_after,
-    gap,
     gap_product_tail,
 )
 
@@ -169,15 +168,26 @@ def is_positive(
     absv = abs(v)
     ratio = Fraction(u, absv) if absv else None
 
-    def in_cone(lam: Fraction) -> bool:
-        return absv * lam <= u
+    # The scanned product gap_product(s, n) is kept unreduced as num / den,
+    # the products of the rank differences and of the sizes, so no step
+    # pays for a gcd.
+    num = den = 1
+
+    def in_cone() -> bool:
+        return absv * num <= u * den
+
+    def step() -> None:
+        nonlocal num, den, n
+        n += 1
+        f = spec.factor(n)
+        num *= f.p - f.q
+        den *= f.size
 
     # Scan explicit stages far enough to cover any stabilization point.
-    lam = Fraction(1)
     n = s
     scan_to = max(s + max(cutoff, 8), len(spec.prefix) + 1)
     while True:
-        if absv == 0 or in_cone(lam):
+        if absv == 0 or in_cone():
             return Verdict(
                 YES,
                 {"kind": "in_cone_at_stage", "stage": n},
@@ -185,15 +195,12 @@ def is_positive(
             )
         if n >= scan_to:
             break
-        n += 1
-        lam *= gap(spec, n)
+        step()
 
     def extended_scan(limit: int) -> int | None:
-        nonlocal lam, n
         while n < limit:
-            n += 1
-            lam *= gap(spec, n)
-            if in_cone(lam):
+            step()
+            if in_cone():
                 return n
         return None
 

@@ -6,21 +6,33 @@ finite products of gap ratios over factor ranges and their limits along the
 tail.  A tail product is zero exactly when some later factor has gap zero or
 the sum of ``1 - gap`` diverges; each supported tail family admits a closed
 form divergence test, so the zero/positive decision is exact.  Positive tail
-products are certified by rational intervals: an explicit partial product
-times a geometric remainder bound.
+products are certified by rational intervals: a partial product P times a
+geometric remainder bound r, giving [P * (1 - r), P].  When r is zero
+(periodic tails, affine tails whose smaller rank settles to zero) P is the
+exact limit and stays an exact fraction.  Otherwise P * (1 - r) lies within
+about P * r**2 of the limit, so P is needed to about 2 * log2(1/r) bits and
+no more: it is enclosed by dyadic numbers rounded outward (lower end down,
+upper end up) at a working precision derived from r alone.  Factors are
+multiplied exactly, with unreduced integer numerator and denominator, while
+that denominator fits the precision, so a short product comes back exact.
 
-No floating point enters any result; see `afrokhlin.intervals`.
+Finite products (`gap_product`) and condensations are exact.  No floating
+point enters any result; see `afrokhlin.intervals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .actions import ActionSpec, FiniteActionError, RankPair
 from .intervals import RatInterval
 
 DEFAULT_CUTOFF = 64
+
+# Bits kept beyond what the remainder bound of a positive tail can resolve.
+_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -149,11 +161,68 @@ def gap_product_tail(
         upper = gap_product(spec, m, max(m, n0 + cutoff))
         return TailUnknown(cutoff=cutoff, lower=Fraction(0), upper=upper)
     depth = max(settle, m - n0)
-    if tail.remainder_bound(depth):
-        # a nonzero remainder shrinks geometrically: go cutoff factors deeper
-        depth += cutoff
-    partial = gap_product(spec, m, n0 + depth)
-    return TailPositive(partial * (1 - tail.remainder_bound(depth)), partial)
+    if not tail.remainder_bound(depth):
+        partial = gap_product(spec, m, n0 + depth)
+        return TailPositive(partial, partial)
+    # a nonzero remainder shrinks geometrically: go cutoff factors deeper
+    depth += cutoff
+    r = tail.remainder_bound(depth)
+    n = n0 + depth
+    # P * (1 - r) lies only about P * r**2 below the limit, so the rounding
+    # error of the n - m factors must stay a 2**-_GUARD_BITS share of r**2
+    r_bits = (r.denominator // r.numerator).bit_length()
+    prec = 2 * r_bits + (n - m).bit_length() + _GUARD_BITS
+    lo, hi = _enclose_gap_product(spec, m, n, prec)
+    lower = lo * (1 - r)
+    if lo != hi:
+        # a rounded product keeps its lower end at the working precision
+        # too, instead of adding the bits of r to it
+        lower = _floor_bits(lower, prec)
+    return TailPositive(lower, min(hi, 1))
+
+
+def _shifted(x: int, shift: int) -> int:
+    """x * 2**shift, floored when shift is negative."""
+    return x << shift if shift >= 0 else x >> -shift
+
+
+def _floor_bits(x: Fraction, prec: int) -> Fraction:
+    """Largest dyadic <= x in (0, 1] with about prec significant bits."""
+    shift = prec + x.denominator.bit_length() - x.numerator.bit_length()
+    return Fraction((x.numerator << shift) // x.denominator, 1 << shift)
+
+
+def _enclose_gap_product(
+    spec: ActionSpec, m: int, n: int, prec: int
+) -> tuple[Fraction, Fraction]:
+    """Outward-rounded enclosure lo <= gap_product(spec, m, n) <= hi.
+
+    Factors multiply exactly, with unreduced integer numerator and
+    denominator and no gcd, while the denominator fits in ``prec`` bits, so a
+    product that never outgrows the precision comes back exact (lo == hi).
+    From then on both ends are integer mantissas of about ``prec`` bits over a
+    common power of two, lo floored and hi ceiled at every factor.
+    """
+    factors = ((f.p - f.q, f.size) for f in map(spec.factor, range(m + 1, n + 1)))
+    num = den = 1
+    for a, b in factors:
+        num *= a
+        den *= b
+        if den.bit_length() > prec:
+            break
+    else:
+        exact = Fraction(num, den)
+        return exact, exact
+    lo = hi = 1
+    scale = 0  # the mantissas stand for lo / 2**scale and hi / 2**scale
+    for a, b in chain([(num, den)], factors):
+        # choose the shift that leaves about prec bits in the quotient;
+        # floor(-x / d) = -ceil(x / d) rounds hi up
+        shift = prec + b.bit_length() - (hi * a).bit_length()
+        lo = _shifted(lo * a, shift) // b
+        hi = -(_shifted(-hi * a, shift) // b)
+        scale += shift
+    return Fraction(lo, 1 << scale), Fraction(hi, 1 << scale)
 
 
 def tail_result_interval(result: TailProductResult) -> RatInterval:

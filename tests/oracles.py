@@ -4,8 +4,10 @@ Each oracle takes a route the implementation under test never uses:
 condensation is checked by literally tensoring diagonal sign matrices and
 counting eigenvalues, positivity by brute-force search over the reachable
 stages of a truncated system plus the exact end rule of a known tail, tail
-products by deep partial products with elementary remainder bounds, and the
-tail-family facts by scanning the factors of a tail one position at a time.
+products by deep partial products with elementary remainder bounds, the
+rounded tail enclosures by the exact `Fraction` partial product they replace,
+and the tail-family facts by scanning the factors of a tail one position at a
+time.
 """
 
 from __future__ import annotations
@@ -13,8 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from afrokhlin import ActionSpec, K0Element, PeriodicTail, RankPair
+from afrokhlin import (
+    ActionSpec,
+    FiniteActionError,
+    K0Element,
+    PeriodicTail,
+    RankPair,
+    TailPositive,
+    TailUnknown,
+    TailZero,
+    gap_product,
+)
 from afrokhlin.cantor import FiniteGSet
+from afrokhlin.products import first_zero_gap_after
 
 
 def sign_tensor_counts(pairs) -> tuple[int, int]:
@@ -75,6 +88,37 @@ def dyadic_euler_interval(terms: int = 120) -> tuple[Fraction, Fraction]:
     for j in range(1, terms + 1):
         partial *= 1 - Fraction(1, 2**j)
     return partial * (1 - Fraction(1, 2**terms)), partial
+
+
+def exact_gap_product_tail(spec: ActionSpec, m: int, cutoff: int):
+    """gap_product_tail with the exact partial product in every result: the
+    positive enclosure is [P * (1 - r), P] for the exact Fraction P of the
+    factors up to the certified depth, reduced at every step."""
+    if m < 0:
+        raise ValueError(f"range start must be >= 0, got {m}")
+    if cutoff < 1:
+        raise ValueError("cutoff must be positive")
+    if spec.tail is None:
+        raise FiniteActionError("tail products need an infinite action")
+    n0 = len(spec.prefix)
+    z = first_zero_gap_after(spec, m)
+    if z is not None:
+        return TailZero(zero_index=z)
+    tail = spec.tail
+    divergence = tail.divergence()
+    if divergence is not None:
+        return TailZero(divergence=divergence)
+    settle = tail.settle_depth()
+    if settle > cutoff:
+        upper = gap_product(spec, m, max(m, n0 + cutoff))
+        return TailUnknown(cutoff=cutoff, lower=Fraction(0), upper=upper)
+    depth = max(settle, m - n0)
+    if tail.remainder_bound(depth):
+        depth += cutoff
+    partial = Fraction(1)
+    for i in range(m + 1, n0 + depth + 1):
+        partial *= spec.factor(i).gap
+    return TailPositive(partial * (1 - tail.remainder_bound(depth)), partial)
 
 
 def tower_base_exists(gs: FiniteGSet) -> bool:

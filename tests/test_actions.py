@@ -21,6 +21,7 @@ from afrokhlin import (
     spec_to_json,
     supernatural_of_algebra,
 )
+from afrokhlin.actions import _factorize, _is_prime
 from oracles import scanned_tail_facts
 from specgen import random_spec
 
@@ -248,3 +249,30 @@ def test_tail_protocol_matches_scan():
         elif facts["zeros"]:
             seen["isolated_zero"] += 1
     assert min(seen.values()) >= 5, seen
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [True] * 100_000
+    sieve[0] = sieve[1] = False
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(sieve[d * d :: d])
+    assert [_is_prime(n) for n in range(100_000)] == sieve
+
+
+@pytest.mark.parametrize(
+    "n", [3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051]
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_large_primes_skip_trial_division():
+    # each of these takes about 10**9 trial divisions without the prime test
+    big = 2**61 - 1
+    assert _is_prime(big) and _is_prime(999_999_999_989)
+    assert _factorize(2 * big) == {2: 1, big: 1}
+    assert _factorize(1024 * 999_983 * 1_000_003) == {2: 10, 999_983: 1, 1_000_003: 1}
+    assert SupernaturalNumber(((big, 1),)).exponent(big) == 1
+    with pytest.raises(ValueError, match="not prime"):
+        SupernaturalNumber(((999_983 * 1_000_003, 1),))

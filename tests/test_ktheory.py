@@ -385,3 +385,20 @@ def test_threshold_no_witness_stays_above_threshold():
     assert v.is_no and v.witness["kind"] == "tail_threshold_exceeded"
     assert v.witness["threshold"] == ratio
     assert ratio < v.witness["tail_lower"] <= tail.lower
+
+
+def test_is_positive_stage_is_first_cone_stage():
+    # the in-cone witness names the first stage whose pushforward is in the
+    # cone, checked here by pushing the element forward directly
+    rng = random.Random(61)
+    checked = 0
+    while checked < 150:
+        spec = random_spec(rng)
+        el = K0Element(rng.randint(0, 3), rng.randint(-40, 40), rng.randint(-40, 40))
+        verdict = is_positive(spec, el, 8)
+        if verdict.witness.get("kind") != "in_cone_at_stage":
+            continue
+        checked += 1
+        stage = verdict.witness["stage"]
+        pushed = (push_forward(spec, el, n) for n in range(el.stage, stage + 1))
+        assert next(p.stage for p in pushed if min(p.a, p.b) >= 0) == stage

@@ -11,14 +11,17 @@ from afrokhlin import (
     TailPositive,
     TailUnknown,
     TailZero,
+    classification_report,
     condense,
     fixture,
     gap,
     gap_product,
     gap_product_tail,
 )
+from afrokhlin.intervals import round_down, round_up
 from afrokhlin.products import first_zero_gap_after
-from oracles import dyadic_euler_interval, sign_tensor_counts
+from afrokhlin.report import classification_json
+from oracles import dyadic_euler_interval, exact_gap_product_tail, sign_tensor_counts
 from specgen import random_factor_list, random_spec
 
 
@@ -214,3 +217,63 @@ def test_first_zero_gap_matches_brute_scan():
             assert brute is None
         else:
             assert got == brute
+
+
+def test_tail_enclosure_matches_exact_oracle():
+    # the rounded enclosure must contain the exact one, lose almost nothing,
+    # and render the same 12-digit witness ends; products short enough to stay exact come back
+    # identical to the oracle's, which every cutoff-1 query is
+    rounded = 0
+    for seed in range(300):
+        spec = random_spec(random.Random(seed), f"s{seed}")
+        n0 = len(spec.prefix)
+        for m in (n0, n0 + 2):
+            for cutoff in (1, 2, 8, 64, 200):
+                got = gap_product_tail(spec, m, cutoff)
+                want = exact_gap_product_tail(spec, m, cutoff)
+                if cutoff == 1 or not isinstance(want, TailPositive):
+                    assert got == want, (seed, m, cutoff)
+                    continue
+                assert isinstance(got, TailPositive)
+                assert got.lower <= want.lower and want.upper <= got.upper
+                # P * (1 - r) is within about P * r**2 of the limit, so the
+                # rounding loss must stay far below that
+                r = 1 - want.lower / want.upper
+                slack = want.upper * r**2 / 2**60
+                assert want.lower - got.lower <= slack and got.upper - want.upper <= slack
+                assert round_down(got.lower) == round_down(want.lower), (seed, m, cutoff)
+                assert round_up(got.upper) == round_up(want.upper), (seed, m, cutoff)
+                rounded += got.upper != want.upper
+    assert rounded > 100
+
+
+@pytest.mark.parametrize(
+    "spec, lower, upper",
+    [
+        (ActionSpec("s79", (RankPair(7, 5),), fixture("car3").tail), "0.046875", "0.0625"),
+        (
+            ActionSpec(
+                "s479",
+                (RankPair(8, 8), RankPair(8, 8), RankPair(8, 2)),
+                AffinePowerTail(B=2, A=2, alpha=0, beta=1, gamma=2, delta=-1),
+            ),
+            "0.16875",
+            "0.225",
+        ),
+    ],
+)
+def test_tail_witness_exact_at_cutoff_one(spec, lower, upper):
+    # short products stay exact, so their witness ends render exactly
+    report = classification_json(classification_report(spec, 1))
+    witness = report["classification"]["tracial_rokhlin"]["witness"]
+    assert (witness["lower"], witness["upper"]) == (lower, upper)
+
+
+def test_tail_enclosure_bits_follow_remainder():
+    # the working precision follows the remainder bound 2**-2049, not the
+    # exact partial product, whose denominator has about 2.1 million bits
+    result = gap_product_tail(fixture("car3"), 1, 2048)
+    assert isinstance(result, TailPositive)
+    for end in (result.lower, result.upper):
+        assert end.denominator.bit_length() < 2 * 2048 + 256
+    assert result.upper - result.lower < Fraction(1, 2**2048)
