@@ -14,7 +14,15 @@ each queried at cutoffs 1, 64 and 200 through the CLI:
 Each call contributes its argv, exit code, stdout and stderr, with the
 ``tool_version`` field masked.  Two checkouts whose digests agree produce
 byte-identical outputs on every call.  The tracial Rokhlin yes/no/unknown
-counts per cutoff are printed as well.  Run from anywhere:
+counts per cutoff are printed as well.
+
+A second digest covers ``cantor``, over G-set documents from the
+benchmark's generator (``perfbench/docs.py``) for seeds 0-299: ``--json``
+for a free G-set with singletons and with a block cover, the text line for
+the block cover, and the exit code and stderr for a non-free document, a
+malformed one (one broken axiom, or up to three broken entries) and four
+bad covers (colliding, insufficient, unknown name, not a list).  The exit
+code counts are printed with it.  Run from anywhere:
 
     python3 scripts/output_digest.py
 
@@ -35,14 +43,16 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
+import docs  # noqa: E402
 from afrokhlin import gap_product, spec_to_json  # noqa: E402
 from afrokhlin.cli import main  # noqa: E402
 from specgen import random_spec  # noqa: E402
 
 SEEDS = range(500)
 CUTOFFS = (1, 64, 200)
+CANTOR_SEEDS = range(300)
 _VERSION_RE = re.compile(r'"tool_version": "[^"]*"')
 
 
@@ -105,5 +115,81 @@ def main_digest() -> None:
         )
 
 
+def broken_entries(rng: random.Random, doc: dict) -> dict:
+    """Up to three swapped, overwritten or out-of-range entries of the table
+    or the action; for one document in four, the first is a repeated entry
+    in the first action row of a non-identity element."""
+    table = [row[:] for row in doc["group"]["table"]]
+    action = [row[:] for row in doc["action"]]
+    if rng.random() < 0.25:
+        row = action[1 if table[0][0] == 0 else 0]
+        row[rng.randrange(len(row))] = row[0] if row[0] != row[1] else row[1]
+    for _ in range(rng.randint(0, 2)):
+        row = rng.choice(table if rng.random() < 0.5 else action)
+        i, j = rng.randrange(len(row)), rng.randrange(len(row))
+        how = rng.random()
+        if how < 0.4:
+            row[i], row[j] = row[j], row[i]
+        elif how < 0.8:
+            row[i] = rng.randrange(len(row))
+        else:
+            row[i] = len(row)
+    return {**doc, "group": {"order": len(table), "table": table}, "action": action}
+
+
+def bad_covers(rng: random.Random, doc: dict, orbits, cover: list) -> list:
+    names = doc["elements"]
+    colliding = [b[:] for b in cover]
+    colliding.insert(
+        rng.randint(0, len(colliding)), [names[x] for x in rng.sample(rng.choice(orbits), 2)]
+    )
+    unknown = [b[:] for b in cover] + [["no-such-point"]]
+    not_list = [b[:] for b in cover] + ["x0"]
+    return [colliding, cover[:-1], unknown, not_list]
+
+
+def cantor_digest() -> None:
+    digest = hashlib.sha256()
+    codes: Counter = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def write(name: str, obj) -> str:
+            path = Path(tmp) / name
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            return str(path)
+
+        def call(argv: list[str]) -> None:
+            rc, out, err = run(argv)
+            codes[rc] += 1
+            shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
+            digest.update("\n".join([" ".join(shown), str(rc), out, err, ""]).encode())
+
+        for seed in CANTOR_SEEDS:
+            rng = random.Random(f"cantor/{seed}")
+            kind = rng.choice(("cyclic", "dihedral", "product"))
+            order = rng.choice((4, 6, 8, 12, 16)) if kind != "cyclic" else rng.randint(3, 16)
+            n = order * rng.randint(2, 6)
+            doc, orbits = docs.gset_doc(rng, kind, order, n)
+            cover = docs.block_cover(rng, doc, orbits, 4)
+            gset = write(f"free{seed}.json", doc)
+            call(["cantor", gset, "--json"])
+            call(["cantor", gset, "--cover", write(f"cover{seed}.json", cover), "--json"])
+            call(["cantor", gset, "--cover", write(f"cover{seed}.json", cover)])
+            for i, bad in enumerate(bad_covers(rng, doc, orbits, cover)):
+                call(["cantor", gset, "--cover", write(f"bad{seed}-{i}.json", bad)])
+            fixed = rng.choice(("point", "involution"))
+            nonfree, _ = docs.gset_doc(rng, kind, order, n, fixed)
+            call(["cantor", write(f"nonfree{seed}.json", nonfree)])
+            how = rng.choice(("associativity", "compatibility", "identity", "structure", "entries"))
+            if how == "entries":
+                malformed = broken_entries(rng, doc)
+            else:
+                malformed = docs.malformed(rng, doc, how)
+            call(["cantor", write(f"malformed{seed}.json", malformed), "--json"])
+    print(f"cantor {digest.hexdigest()}")
+    print("cantor exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
+
+
 if __name__ == "__main__":
     main_digest()
+    cantor_digest()

@@ -374,22 +374,78 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# Factors below this are found by trial division before Pollard-Brent rho.
+_TRIAL_DIVISION_BELOW = 1000
+_RHO_BATCH = 128
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's
+    cycle detection and batched gcds (Brent, "An improved Monte Carlo
+    factorization algorithm", BIT 1980).  The polynomials x**2 + c are tried
+    for c = 1, 2, ... in turn, so the result is reproducible."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot the collision: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization with the primes in increasing order.
+
+    Trial division stops as soon as the cofactor is prime.  It takes out the
+    factors below _TRIAL_DIVISION_BELOW, and goes on past them only while the
+    cofactor is too large for _is_prime to be exact.  Pollard-Brent rho
+    splits what is left until every part is prime.
+    """
     if n < 1:
         raise ValueError("can only factor positive integers")
-    out: dict[int, int] = {}
+    primes: list[int] = []
     d = 2
-    # trial division stops early once the cofactor left over is prime
     prime = _is_prime(n)
-    while not prime and d * d <= n:
+    while not prime and d * d <= n and (d < _TRIAL_DIVISION_BELOW or n >= _MR_EXACT_BELOW):
         if n % d == 0:
             while n % d == 0:
-                out[d] = out.get(d, 0) + 1
+                primes.append(d)
                 n //= d
             prime = _is_prime(n)
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if prime:
+        primes.append(n)
+    elif n > 1:
+        # every factor of what is left is at least d
+        pending = [n]
+        while pending:
+            m = pending.pop()
+            if d * d > m or _is_prime(m):
+                primes.append(m)
+            else:
+                f = _pollard_brent(m)
+                pending += (f, m // f)
+    out: dict[int, int] = {}
+    for p in sorted(primes):
+        out[p] = out.get(p, 0) + 1
     return out
 
 

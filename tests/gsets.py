@@ -18,6 +18,46 @@ GROUP_Z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 GROUP_V4 = tuple(tuple(a ^ b for b in range(4)) for a in range(4))
 
 
+def cyclic_group(k: int):
+    return tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
+
+
+def dihedral_group(n: int):
+    """Order 2n: element i + n*f stands for r^i s^f."""
+
+    def mul(x, y):
+        (f1, i1), (f2, i2) = divmod(x, n), divmod(y, n)
+        return (i1 + (-i2 if f1 else i2)) % n + n * (f1 ^ f2)
+
+    return tuple(tuple(mul(x, y) for y in range(2 * n)) for x in range(2 * n))
+
+
+def product_group(t1, t2):
+    k2 = len(t2)
+    k = len(t1) * k2
+    return tuple(
+        tuple(t1[a // k2][b // k2] * k2 + t2[a % k2][b % k2] for b in range(k)) for a in range(k)
+    )
+
+
+def relabel(table, pi):
+    """The same table with element a renamed pi[a]."""
+    k = len(table)
+    out = [[0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(k):
+            out[pi[a]][pi[b]] = pi[table[a][b]]
+    return tuple(tuple(row) for row in out)
+
+
+def relabel_group(rng: random.Random, table):
+    """The same group with its elements renamed by a random permutation, so
+    the identity can sit at any index."""
+    pi = list(range(len(table)))
+    rng.shuffle(pi)
+    return relabel(table, pi)
+
+
 def subgroups(table) -> list[frozenset[int]]:
     k = len(table)
     out = []

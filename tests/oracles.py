@@ -6,8 +6,10 @@ counting eigenvalues, positivity by brute-force search over the reachable
 stages of a truncated system plus the exact end rule of a known tail, tail
 products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace,
-and the tail-family facts by scanning the factors of a tail one position at a
-time.
+the tail-family facts by scanning the factors of a tail one position at a
+time, G-set validation by checking every triple of the group and action
+axioms, and greedy towers by recomputing the saturation of the base at every
+step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from afrokhlin import (
     TailZero,
     gap_product,
 )
-from afrokhlin.cantor import FiniteGSet
+from afrokhlin.cantor import (
+    FiniteGSet,
+    InvalidCover,
+    NotFreeError,
+    Tower,
+    _fixed_point_message,
+    is_free,
+)
 from afrokhlin.products import first_zero_gap_after
 
 
@@ -138,6 +147,79 @@ def tower_base_exists(gs: FiniteGSet) -> bool:
         if ok and len(seen) == gs.size:
             return True
     return False
+
+
+def reference_gset_error(elements, table, action) -> str | None:
+    """The first axiom violation in the order FiniteGSet reports them, found
+    by checking all k**3 associativity and k**2 * n compatibility triples;
+    None for a valid G-set."""
+    k = len(table)
+    n = len(elements)
+    if k < 1:
+        return "group must have at least one element"
+    if n < 1:
+        return "the acted-on set must be nonempty"
+    if any(len(row) != k for row in table):
+        return "multiplication table must be square"
+    if any(not (0 <= v < k) for row in table for v in row):
+        return "multiplication table entries out of range"
+    identity = None
+    for e in range(k):
+        if all(table[e][h] == h and table[h][e] == h for h in range(k)):
+            identity = e
+            break
+    if identity is None:
+        return "multiplication table has no identity element"
+    for g in range(k):
+        if sorted(table[g]) != list(range(k)):
+            return f"row {g} of the multiplication table is not a permutation"
+    for g in range(k):
+        for h in range(k):
+            for l in range(k):
+                if table[table[g][h]][l] != table[g][table[h][l]]:
+                    return "multiplication table is not associative"
+    if len(action) != k or any(len(row) != n for row in action):
+        return "action table must have one row of size |X| per group element"
+    if any(not (0 <= v < n) for row in action for v in row):
+        return "action table entries out of range"
+    if list(action[identity]) != list(range(n)):
+        return "identity must act trivially"
+    for g in range(k):
+        if sorted(action[g]) != list(range(n)):
+            return f"group element {g} does not act by a permutation"
+        for h in range(k):
+            for x in range(n):
+                if action[table[g][h]][x] != action[g][action[h][x]]:
+                    return "action is not compatible with the group product"
+    return None
+
+
+def reference_greedy_tower(gs: FiniteGSet, cover) -> Tower:
+    """greedy_tower with every translate built as a set: all collisions are
+    checked first, then the union, then each cover set adds the points
+    outside the saturation of the base so far, recomputed from scratch."""
+    free, witness = is_free(gs)
+    if not free:
+        g, x = witness
+        raise NotFreeError(g, x, _fixed_point_message(gs, g, x))
+    cover = [frozenset(k) for k in cover]
+    for idx, k in enumerate(cover):
+        translates = [gs.translate(g, k) for g in range(gs.order)]
+        total = sum(len(t) for t in translates)
+        if len(frozenset().union(*translates)) != total:
+            raise InvalidCover(f"cover set {idx} has colliding translates", index=idx)
+    covered = frozenset().union(
+        *(gs.translate(g, k) for k in cover for g in range(gs.order))
+    ) if cover else frozenset()
+    if covered != frozenset(range(gs.size)):
+        raise InvalidCover("cover union insufficient: orbits of the cover miss the set")
+    base: frozenset[int] = frozenset()
+    for k in cover:
+        saturation = frozenset().union(
+            *(gs.translate(g, base) for g in range(gs.order))
+        ) if base else frozenset()
+        base = base | frozenset(x for x in k if x not in saturation)
+    return Tower(base=base, translates=tuple(gs.translate(g, base) for g in range(gs.order)))
 
 
 def _small_primes(n: int, bound: int = 100) -> set[int]:

@@ -276,3 +276,37 @@ def test_large_primes_skip_trial_division():
     assert SupernaturalNumber(((big, 1),)).exponent(big) == 1
     with pytest.raises(ValueError, match="not prime"):
         SupernaturalNumber(((999_983 * 1_000_003, 1),))
+
+
+def _trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    """Primes in increasing order, as SupernaturalNumber.of_int needs, for
+    every n below 2 * 10**5 and 200 seeded semiprimes near 10**12 (some of
+    them squares), which Pollard-Brent rho splits."""
+    for n in range(1, 200_000):
+        got = _factorize(n)
+        assert got == _trial_division(n) and list(got) == sorted(got), n
+    rng = random.Random(12)
+    primes = [p for p in range(970_001, 1_000_000, 2) if list(_trial_division(p)) == [p]]
+    for _ in range(200):
+        p, q = sorted((rng.choice(primes), rng.choice(primes)))
+        if rng.random() < 0.1:
+            q = p
+        small = rng.choice((1, 2, 12, 3 * 997))
+        want = _trial_division(small)
+        for prime in (p, q):
+            want[prime] = want.get(prime, 0) + 1
+        got = _factorize(p * q * small)
+        assert got == want and list(got) == sorted(got), (p, q, small)

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 
 from afrokhlin.cantor import (
     FiniteGSet,
+    _generators,
     InvalidCover,
     InvalidGSet,
     NotFreeError,
@@ -14,8 +17,20 @@ from afrokhlin.cantor import (
     is_free,
     verify_tower,
 )
-from gsets import GROUP_V4, GROUP_Z2, GROUP_Z3, build_gset, orbit_multisets, subgroups
-from oracles import tower_base_exists
+from gsets import (
+    GROUP_V4,
+    GROUP_Z2,
+    GROUP_Z3,
+    build_gset,
+    cyclic_group,
+    dihedral_group,
+    orbit_multisets,
+    product_group,
+    relabel,
+    relabel_group,
+    subgroups,
+)
+from oracles import reference_gset_error, reference_greedy_tower, tower_base_exists
 
 
 def two_point_swap():
@@ -146,3 +161,221 @@ def test_exhaustive_towers_and_freeness(name, table):
                 with pytest.raises(NotFreeError):
                     greedy_tower(gs, [frozenset({0})])
     assert count > 20
+
+
+SMALL_GROUPS = (
+    [cyclic_group(k) for k in range(1, 13)]
+    + [dihedral_group(n) for n in range(2, 7)]
+    + [
+        product_group(cyclic_group(a), cyclic_group(b))
+        for a, b in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 6))
+    ]
+)
+
+
+def _random_gset(rng: random.Random, table, free: bool) -> FiniteGSet:
+    """A G-set with one to three orbits; a non-free one has at least one
+    orbit G/<g> for a random element g."""
+    k = len(table)
+    e = next(g for g in range(k) if table[g][g] == g)
+    orbits = []
+    for i in range(rng.randint(1, 3)):
+        H = {e}
+        if not free and (i == 0 or rng.random() < 0.5):
+            g = x = rng.randrange(k)
+            while x not in H:
+                H.add(x)
+                x = table[x][g]
+        orbits.append(frozenset(H))
+    return build_gset(table, orbits, rng)
+
+
+def _mutate(rng: random.Random, gs: FiniteGSet):
+    """Up to three swapped or overwritten entries of the table or the action."""
+    table = [list(row) for row in gs.table]
+    action = [list(row) for row in gs.action]
+    for _ in range(rng.randint(0, 3)):
+        rows, size = (table, gs.order) if rng.random() < 0.5 else (action, gs.size)
+        r1, r2 = rng.randrange(len(rows)), rng.randrange(len(rows))
+        i, j = rng.randrange(len(rows[r1])), rng.randrange(len(rows[r1]))
+        how = rng.random()
+        if how < 0.4:
+            rows[r1][i], rows[r1][j] = rows[r1][j], rows[r1][i]
+        elif how < 0.6:
+            rows[r1][i], rows[r2][i] = rows[r2][i], rows[r1][i]
+        elif how < 0.95:
+            rows[r1][i] = rng.randrange(size)
+        else:
+            rows[r1][i] = rng.choice((-1, size))
+    return tuple(map(tuple, table)), tuple(map(tuple, action))
+
+
+def _covers(rng: random.Random, gs: FiniteGSet):
+    """Singletons, a block cover with repeated orbits, a colliding one and an
+    insufficient one."""
+    orbit_of = {}
+    for x in range(gs.size):
+        orbit_of.setdefault(min(row[x] for row in gs.action), []).append(x)
+    orbits = list(orbit_of.values())
+    reps = [rng.choice(o) for o in orbits]
+    rng.shuffle(reps)
+    blocks = []
+    i = 0
+    while i < len(reps):
+        size = rng.randint(1, 3)
+        blocks.append(set(reps[i : i + size]))
+        i += size
+    for _ in range(rng.randint(0, 2)):
+        blocks.insert(rng.randint(0, len(blocks)), {rng.choice(rng.choice(orbits))})
+    covers = [[frozenset({x}) for x in range(gs.size)], blocks]
+    wide = [o for o in orbits if len(o) > 1]
+    if wide:
+        colliding = [set(b) for b in blocks]
+        colliding.insert(rng.randint(0, len(colliding)), set(rng.sample(rng.choice(wide), 2)))
+        covers.append(colliding)
+    covers.append(blocks[:-1])
+    return covers
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (InvalidGSet, InvalidCover, NotFreeError) as exc:
+        name = type(exc).__name__
+        return name, str(exc), getattr(exc, "index", None), getattr(exc, "witness", None)
+    if isinstance(result, Tower):
+        return "tower", result.base, result.translates
+    return "accepted"
+
+
+def _reference_validation(elements, table, action):
+    message = reference_gset_error(elements, table, action)
+    return "accepted" if message is None else ("InvalidGSet", message, None, None)
+
+
+def test_validation_and_towers_match_reference_on_mutated_gsets():
+    """Seeded G-sets over groups of order <= 12, free and not, with up to
+    three broken entries: the same rejection, cover error and base as the
+    all-triples validator and the saturation-recomputing tower."""
+    seen = Counter()
+    for seed in range(3000):
+        rng = random.Random(seed)
+        table = relabel_group(rng, rng.choice(SMALL_GROUPS))
+        gs = _random_gset(rng, table, free=rng.random() < 0.6)
+        table, action = _mutate(rng, gs)
+        got = _outcome(FiniteGSet, gs.elements, table, action)
+        assert got == _reference_validation(gs.elements, table, action), seed
+        seen[got if got == "accepted" else got[1].split(" ")[-1]] += 1
+        if got != "accepted":
+            continue
+        mutated = FiniteGSet(gs.elements, table, action)
+        for cover in _covers(rng, mutated):
+            got = _outcome(greedy_tower, mutated, cover)
+            assert got == _outcome(reference_greedy_tower, mutated, cover), seed
+            seen[got[0] if got[0] != "InvalidCover" else got[1][:20]] += 1
+    for outcome in ("accepted", "tower", "NotFreeError", "element", "associative", "product",
+                    "permutation", "range", "trivially", "cover set", "cover union"):
+        assert any(outcome in key for key in seen), (outcome, seen)
+
+
+def _reduced_latin_squares(k: int):
+    square = [[(i if r == 0 else r if i == 0 else None) for i in range(k)] for r in range(k)]
+
+    def fill(pos):
+        if pos == k * k:
+            yield tuple(map(tuple, square))
+            return
+        r, c = divmod(pos, k)
+        if square[r][c] is not None:
+            yield from fill(pos + 1)
+            return
+        used = set(square[r]) | {square[i][c] for i in range(k)}
+        for v in range(k):
+            if v not in used:
+                square[r][c] = v
+                yield from fill(pos + 1)
+                square[r][c] = None
+
+    yield from fill(0)
+
+
+def test_light_test_decides_associativity_of_every_small_latin_square():
+    """All 63 reduced Latin squares of order <= 5, the non-associative loops
+    of order 5 among them: rejected exactly when some triple fails."""
+    squares = [t for k in range(1, 6) for t in _reduced_latin_squares(k)]
+    assert len(squares) == 63
+    rejected = 0
+    for table in squares:
+        k = len(table)
+        associative = all(
+            table[table[a][b]][c] == table[a][table[b][c]]
+            for a in range(k) for b in range(k) for c in range(k)
+        )
+        got = _outcome(FiniteGSet, ("x",), table, ((0,),) * k)
+        assert got == _reference_validation(("x",), table, ((0,),) * k)
+        assert (got == "accepted") == associative
+        rejected += not associative
+    assert rejected == 63 - (1 + 1 + 1 + 4 + 6)
+
+
+def test_light_test_matches_all_triples_on_every_order_4_table():
+    """Every table of order <= 4 with permutation rows and an identity, under
+    every relabeling, so that the picked generators vary; some of these are
+    associative on the first picked generator only."""
+    count = 0
+    for k in range(1, 5):
+        choices = [[p for p in permutations(range(k)) if p[0] == h] for h in range(1, k)]
+        for rows in product(*choices):
+            for pi in permutations(range(k)):
+                table = relabel((tuple(range(k)),) + rows, pi)
+                action = ((0,),) * k
+                assert _outcome(FiniteGSet, ("x",), table, action) == _reference_validation(
+                    ("x",), table, action
+                ), table
+                count += 1
+    assert count == 1 + 2 + 4 * 6 + 216 * 24
+
+
+def test_compatibility_matches_reference_on_every_small_action():
+    """Every action of the groups of order <= 4 on three points with a
+    trivial identity (all maps for order <= 3, all permutations for order 4),
+    under every relabeling of the group."""
+    maps = list(product(range(3), repeat=3))
+    perms = list(permutations(range(3)))
+    for table in (GROUP_Z2, GROUP_Z3, cyclic_group(4), GROUP_V4):
+        k = len(table)
+        for pi in permutations(range(k)):
+            relabeled = relabel(table, pi)
+            e = pi[0]
+            for rows in product(*([maps if k <= 3 else perms] * (k - 1))):
+                rows = iter(rows)
+                action = tuple((0, 1, 2) if g == e else next(rows) for g in range(k))
+                elements = ("a", "b", "c")
+                assert _outcome(FiniteGSet, elements, relabeled, action) == _reference_validation(
+                    elements, relabeled, action
+                ), (relabeled, action)
+
+
+def test_generating_set_has_at_most_log2_order_elements():
+    """The work of validation is |generators| * k * (k + n); for every
+    cyclic, dihedral and C2 x Cm group of order <= 128, relabeled so the
+    identity sits anywhere, the generating set has <= floor(log2 k) elements."""
+    rng = random.Random(128)
+    tables = [cyclic_group(k) for k in range(1, 129)]
+    tables += [dihedral_group(n) for n in range(1, 65)]
+    tables += [product_group(cyclic_group(2), cyclic_group(m)) for m in range(1, 65)]
+    for table in tables:
+        table = relabel_group(rng, table)
+        k = len(table)
+        identity = next(g for g in range(k) if table[g][g] == g)
+        generators = _generators(table, identity)
+        assert len(generators) <= k.bit_length() - 1, (k, generators)
+
+
+def test_non_integer_entries_are_rejected():
+    with pytest.raises(InvalidGSet, match="multiplication table entries out of range"):
+        FiniteGSet(("a", "b"), ((0, 1.0), (1.0, 0)), ((0, 1), (1, 0)))
+    with pytest.raises(InvalidGSet, match="action table entries out of range"):
+        FiniteGSet(("a", "b"), GROUP_Z2, ((0, 1), (1, "a")))
+    # JSON true and false keep working as 1 and 0
+    assert FiniteGSet(("a", "b"), ((False, True), (True, False)), ((0, 1), (1, 0))).identity == 0
