@@ -16,7 +16,13 @@ Each call contributes its argv, exit code, stdout and stderr, with the
 byte-identical outputs on every call.  The tracial Rokhlin yes/no/unknown
 counts per cutoff are printed as well.
 
-A second digest covers ``cantor``, over G-set documents from the
+A second, ``positivity`` digest reaches the refinement of tail enclosures:
+``ktheory --query positive --json`` for the same specs and cutoffs and two
+elements at stage m whose thresholds sit at -2**-80 and +2**-80 from the
+exact gap product of factors m+1 .. m+96.  The witness kinds of their
+``positive`` verdicts are counted.
+
+A third digest covers ``cantor``, over G-set documents from the
 benchmark's generator (``perfbench/docs.py``) for seeds 0-299: ``--json``
 for a free G-set with singletons and with a block cover, the text line for
 the block cover, and the exit code and stderr for a non-free document, a
@@ -63,17 +69,23 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return rc, _VERSION_RE.sub('"tool_version": "*"', out.getvalue()), err.getvalue()
 
 
-def elements(spec) -> list[str]:
-    """The K0 elements queried for one spec, as a,b@stage."""
+def near_threshold(spec, depth: int, bits: int, deltas) -> list[str]:
+    """Elements a,b@m, m the prefix length, with thresholds u/|v| at
+    delta * 2**-bits from about gap_product(spec, m, m + depth)."""
     m = len(spec.prefix)
-    near = gap_product(spec, m, m + 24)
-    v = 2**41
-    centre = near.numerator * 2**40 // near.denominator
-    els = [(1, -1)]
-    for delta in (-1, 0, 1):
+    near = gap_product(spec, m, m + depth)
+    v = 2 ** (bits + 1)
+    centre = near.numerator * 2**bits // near.denominator
+    els = []
+    for delta in deltas:
         u = 2 * (centre + delta)
         els.append(((u + v) // 2, (u - v) // 2))
     return [f"{a},{b}@{m}" for a, b in els]
+
+
+def elements(spec) -> list[str]:
+    """The K0 elements queried for one spec, as a,b@stage."""
+    return [f"1,-1@{len(spec.prefix)}", *near_threshold(spec, 24, 40, (-1, 0, 1))]
 
 
 def main_digest() -> None:
@@ -113,6 +125,30 @@ def main_digest() -> None:
             f"cutoff {cutoff}: tracial yes/no/unknown = "
             f"{counts['yes']}/{counts['no']}/{counts['unknown']}"
         )
+
+
+def positivity_digest() -> None:
+    digest = hashlib.sha256()
+    kinds: Counter = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            spec = random_spec(random.Random(seed), f"s{seed}")
+            path = Path(tmp) / f"s{seed}.json"
+            path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+            for cutoff in CUTOFFS:
+                for el in near_threshold(spec, 96, 80, (-1, 1)):
+                    argv = [
+                        "ktheory", str(path), "--json", "--cutoff", str(cutoff),
+                        "--query", "positive", "--element", el,
+                    ]
+                    rc, out, err = run(argv)
+                    kinds[json.loads(out)["ktheory"]["positive"]["witness"]["kind"]] += 1
+                    shown = [path.name if a == str(path) else a for a in argv]
+                    digest.update(
+                        "\n".join([" ".join(shown), str(rc), out, err, ""]).encode()
+                    )
+    print(f"positivity {digest.hexdigest()}")
+    print("positivity witness kinds: " + ", ".join(f"{k}: {kinds[k]}" for k in sorted(kinds)))
 
 
 def broken_entries(rng: random.Random, doc: dict) -> dict:
@@ -192,4 +228,5 @@ def cantor_digest() -> None:
 
 if __name__ == "__main__":
     main_digest()
+    positivity_digest()
     cantor_digest()

@@ -18,7 +18,8 @@ O(k·n) for the singleton cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import chain, compress
 from operator import eq, itemgetter
 
 
@@ -125,6 +126,17 @@ class FiniteGSet:
     def translate(self, g: int, subset: frozenset[int]) -> frozenset[int]:
         return frozenset(self.action[g][x] for x in subset)
 
+    @cached_property
+    def fixed_point(self) -> tuple[int, int] | None:
+        """The first (g, x), in row order, with g not the identity and
+        g.x == x; None for a free action.  Computed once per G-set."""
+        for g, row in enumerate(self.action):
+            if g == self.identity:
+                continue
+            for x in compress(range(self.size), map(eq, row, range(self.size))):
+                return g, x
+        return None
+
 
 # JSON true and false index like 1 and 0, so they count as integers here.
 _INDEX_TYPES = {int, bool}
@@ -181,12 +193,13 @@ class Tower:
 
 def is_free(gs: FiniteGSet) -> tuple[bool, tuple[int, int] | None]:
     """Whether no nontrivial group element fixes a point; witness on failure."""
-    for g, row in enumerate(gs.action):
-        if g == gs.identity:
-            continue
-        for x in compress(range(gs.size), map(eq, row, range(gs.size))):
-            return False, (g, x)
-    return True, None
+    return gs.fixed_point is None, gs.fixed_point
+
+
+def _require_free(gs: FiniteGSet) -> None:
+    if gs.fixed_point is not None:
+        g, x = gs.fixed_point
+        raise NotFreeError(g, x, _fixed_point_message(gs, g, x))
 
 
 def default_cover(gs: FiniteGSet) -> list[frozenset[int]]:
@@ -195,10 +208,7 @@ def default_cover(gs: FiniteGSet) -> list[frozenset[int]]:
     For a free action singleton translates are automatically disjoint and the
     union of their orbits is everything, so this is always a valid cover.
     """
-    free, witness = is_free(gs)
-    if not free:
-        g, x = witness
-        raise NotFreeError(g, x, _fixed_point_message(gs, g, x))
+    _require_free(gs)
     return [frozenset({x}) for x in range(gs.size)]
 
 
@@ -215,13 +225,14 @@ def greedy_tower(gs: FiniteGSet, cover) -> Tower:
     Starting from the first cover set, each later set contributes only the
     points whose whole orbit is still uncovered.  Disjointness of the base
     translates is preserved at every step, and the final base covers because
-    the cover does.
+    the cover does.  Cover points are indices in range(gs.size).
     """
-    free, witness = is_free(gs)
-    if not free:
-        g, x = witness
-        raise NotFreeError(g, x, _fixed_point_message(gs, g, x))
+    _require_free(gs)
     cover = [frozenset(k) for k in cover]
+    indices = list(chain.from_iterable(cover))
+    if indices and not _entries_in_range([indices], gs.size):
+        idx = next(i for i, k in enumerate(cover) if k and not _entries_in_range([k], gs.size))
+        raise InvalidCover(f"cover set {idx} has a point not in range({gs.size})", idx)
     # marked: the orbits of the base so far, which later sets must avoid
     marked = bytearray(gs.size)
     base: set[int] = set()

@@ -132,7 +132,27 @@ def is_zero(spec: ActionSpec, el: K0Element) -> bool:
     return _is_zero_class(spec, el)
 
 
+# The work budget of `is_positive`: stages scanned past the element's stage,
+# and doublings of the cutoff when refining the tail enclosure.
 _SCAN_HARD_CAP = 1 << 16
+_MAX_DOUBLINGS = 6
+
+
+def _cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
+    """Yield (n, inside) for n = s, s + 1, ...: whether the pushforward to
+    stage n of a stage-s class with these u and |v| lies in the cone, that is
+    |v| * gap_product(s, n) <= u.
+
+    The product is kept unreduced as num / den, the products of the rank
+    differences and of the sizes, so no step pays for a gcd.
+    """
+    n, num, den = s, 1, 1
+    while True:
+        yield n, absv * num <= u * den
+        n += 1
+        f = spec.factor(n)
+        num *= f.p - f.q
+        den *= f.size
 
 
 def is_positive(
@@ -144,6 +164,11 @@ def is_positive(
     counts as positive.  With u = a + b and v = a - b, a pushforward to stage
     N is in the cone iff |v| * gap_product(stage, N) <= u, so the decision is
     a threshold test against the certified tail product.
+
+    The budget is 7 tail enclosures, at cutoff * 2**k for k = 0 .. 6, each
+    tested against the threshold u / |v|, and 2**16 stages scanned past the
+    element's stage (or the first scan, over the cutoff and the prefix, if
+    that is longer); a verdict that needs more is unknown.
     """
     if spec.tail is None:
         raise FiniteActionError("positivity needs an infinite action")
@@ -165,56 +190,19 @@ def is_positive(
     if u < 0:
         return Verdict(NO, {"kind": "negative_total_rank", "u": u}, anchors)
 
-    absv = abs(v)
-    ratio = Fraction(u, absv) if absv else None
-
-    # The scanned product gap_product(s, n) is kept unreduced as num / den,
-    # the products of the rank differences and of the sizes, so no step
-    # pays for a gcd.
-    num = den = 1
-
-    def in_cone() -> bool:
-        return absv * num <= u * den
-
-    def step() -> None:
-        nonlocal num, den, n
-        n += 1
-        f = spec.factor(n)
-        num *= f.p - f.q
-        den *= f.size
-
-    # Scan explicit stages far enough to cover any stabilization point.
-    n = s
+    # An exact tail product is reached by stage max(prefix length + 1, s),
+    # which this first scan covers, so no exact enclosure below can equal the
+    # threshold.  Later scans resume where this one stopped.
+    scan = _cone_scan(spec, s, u, abs(v))
+    n, inside = next(scan)
     scan_to = max(s + max(cutoff, 8), len(spec.prefix) + 1)
-    while True:
-        if absv == 0 or in_cone():
-            return Verdict(
-                YES,
-                {"kind": "in_cone_at_stage", "stage": n},
-                anchors,
-            )
-        if n >= scan_to:
-            break
-        step()
+    while not inside and n < scan_to:
+        n, inside = next(scan)
+    if inside:
+        return Verdict(YES, {"kind": "in_cone_at_stage", "stage": n}, anchors)
 
-    def extended_scan(limit: int) -> int | None:
-        while n < limit:
-            step()
-            if in_cone():
-                return n
-        return None
-
+    ratio = Fraction(u, abs(v))
     tail = gap_product_tail(spec, s, cutoff)
-    if isinstance(tail, TailZero):
-        # The tail product vanishes, so the threshold is eventually met.
-        hit = extended_scan(s + _SCAN_HARD_CAP)
-        if hit is not None:
-            return Verdict(YES, {"kind": "in_cone_at_stage", "stage": hit}, anchors)
-        return Verdict(
-            UNKNOWN,
-            {"kind": "scan_exhausted", "scanned_to": n, "cutoff": cutoff},
-            anchors,
-        )
     if isinstance(tail, TailUnknown):
         return Verdict(
             UNKNOWN,
@@ -226,10 +214,10 @@ def is_positive(
             },
             anchors,
         )
-
-    attempt = cutoff
-    for _ in range(6):
-        assert isinstance(tail, TailPositive)
+    # A tail that is positive at this cutoff stays positive at every larger
+    # one; refine until the enclosure separates from the threshold.
+    doublings = 0
+    while isinstance(tail, TailPositive) and tail.upper >= ratio:
         if tail.lower > ratio:
             return Verdict(
                 NO,
@@ -240,30 +228,29 @@ def is_positive(
                 },
                 anchors,
             )
-        if tail.upper < ratio:
-            hit = extended_scan(s + _SCAN_HARD_CAP)
-            if hit is not None:
-                return Verdict(
-                    YES, {"kind": "in_cone_at_stage", "stage": hit}, anchors
-                )
+        if doublings == _MAX_DOUBLINGS:
             break
-        if tail.lower == tail.upper:
-            # Exact tail values stabilize at a stage the scan already covered,
-            # so this cannot be reached with a sound spec; stay honest.
-            break
-        attempt *= 2
-        refined = gap_product_tail(spec, s, attempt)
-        if not isinstance(refined, TailPositive):
-            break
-        tail = refined
+        doublings += 1
+        tail = gap_product_tail(spec, s, cutoff << doublings)
+    else:
+        # The tail product vanishes or lies below the threshold, so some
+        # finite stage meets the threshold.
+        while not inside and n < s + _SCAN_HARD_CAP:
+            n, inside = next(scan)
+        if inside:
+            return Verdict(YES, {"kind": "in_cone_at_stage", "stage": n}, anchors)
+        if isinstance(tail, TailZero):
+            return Verdict(
+                UNKNOWN,
+                {"kind": "scan_exhausted", "scanned_to": n, "cutoff": cutoff},
+                anchors,
+            )
     return Verdict(
         UNKNOWN,
         {
             "kind": "threshold_boundary",
             "threshold": ratio,
-            "interval": [round_down(tail.lower), round_up(tail.upper)]
-            if isinstance(tail, (TailPositive, TailUnknown))
-            else None,
+            "interval": [round_down(tail.lower), round_up(tail.upper)],
             "cutoff": cutoff,
         },
         anchors,

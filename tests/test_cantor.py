@@ -1,9 +1,10 @@
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import compress, permutations, product
 
 import pytest
 
+from afrokhlin import cantor
 from afrokhlin.cantor import (
     FiniteGSet,
     _generators,
@@ -82,6 +83,45 @@ def test_greedy_tower_rejects_colliding_cover_set():
     with pytest.raises(InvalidCover) as err:
         greedy_tower(gs, [frozenset({0, 1}), frozenset({2})])
     assert err.value.index == 0
+
+
+@pytest.mark.parametrize(
+    "cover, bad",
+    [
+        ([{0}, {4}], 1),  # past the last point
+        ([{0}, {-4}, {2}], 1),  # would alias point 0
+        ([{1.0}], 0),
+        ([{0}, {"c"}], 1),
+    ],
+)
+def test_greedy_tower_rejects_point_indices_out_of_range(cover, bad):
+    with pytest.raises(InvalidCover) as err:
+        greedy_tower(four_point_two_orbits(), [frozenset(k) for k in cover])
+    assert err.value.index == bad
+    assert f"cover set {bad} " in str(err.value) and "range(4)" in str(err.value)
+
+
+def test_default_cover_tower_scans_for_fixed_points_once(monkeypatch):
+    # one scan visits each non-identity row once; default_cover, greedy_tower
+    # and is_free share it
+    scanned = []
+
+    def counted(data, selectors):
+        scanned.append(1)
+        return compress(data, selectors)
+
+    monkeypatch.setattr(cantor, "compress", counted)
+    gs = FiniteGSet(("a", "b", "c"), GROUP_Z3, GROUP_Z3)
+    assert verify_tower(gs, greedy_tower(gs, default_cover(gs)))
+    assert is_free(gs) == (True, None)
+    assert len(scanned) == 2
+    # a fixed point found once is reported by both, with the same witness
+    bad = swap_with_fixed_point()
+    for build in (default_cover, lambda g: greedy_tower(g, [frozenset({0})])):
+        with pytest.raises(NotFreeError) as err:
+            build(bad)
+        assert err.value.witness == (1, 2)
+    assert len(scanned) == 3
 
 
 def test_greedy_tower_rejects_non_free():

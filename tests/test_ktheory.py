@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from afrokhlin import (
     ActionSpec,
+    AffinePowerTail,
     FgAbPresentation,
     K0Element,
     PeriodicTail,
@@ -402,3 +403,110 @@ def test_is_positive_stage_is_first_cone_stage():
         stage = verdict.witness["stage"]
         pushed = (push_forward(spec, el, n) for n in range(el.stage, stage + 1))
         assert next(p.stage for p in pushed if min(p.a, p.b) >= 0) == stage
+
+
+def _element_with_threshold(stage, ratio):
+    """A class at this stage with u / |v| equal to the given ratio."""
+    num, den = ratio.numerator, ratio.denominator
+    return K0Element(stage, num + den, num - den)
+
+
+def _car3_enclosures_256_512():
+    car3 = fixture("car3")
+    return car3, gap_product_tail(car3, 1, 256), gap_product_tail(car3, 1, 512)
+
+
+def test_is_positive_tests_the_last_refinement():
+    # At cutoff 8 the enclosures at cutoffs 8 .. 512 are each tested; this
+    # threshold separates only from the last one, below its lower end.
+    car3, t256, t512 = _car3_enclosures_256_512()
+    ratio = (t256.lower + t512.lower) / 2
+    assert t256.lower < ratio < t512.lower
+    v = is_positive(car3, _element_with_threshold(1, ratio), 8)
+    assert v.is_no and v.witness["kind"] == "tail_threshold_exceeded"
+    assert ratio < v.witness["tail_lower"] <= t512.lower
+
+
+def test_is_positive_scans_after_the_last_refinement():
+    # the twin: this threshold separates only from the last enclosure, above
+    # its upper end, so the scan finds the first stage in the cone
+    car3, t256, t512 = _car3_enclosures_256_512()
+    ratio = (t256.upper + t512.upper) / 2
+    assert t512.upper < ratio < t256.upper
+    el = _element_with_threshold(1, ratio)
+    v = is_positive(car3, el, 8)
+    assert v.is_yes and v.witness["kind"] == "in_cone_at_stage"
+    stage = v.witness["stage"]
+    at, before = push_forward(car3, el, stage), push_forward(car3, el, stage - 1)
+    assert min(at.a, at.b) >= 0 > min(before.a, before.b)
+
+
+def _car3_midpoint_element():
+    t64 = gap_product_tail(fixture("car3"), 1, 64)
+    return _element_with_threshold(1, (t64.lower + t64.upper) / 2)
+
+
+# one row per exit of is_positive: spec, element, cutoff, decision, witness
+_SETTLES_AT_2 = ActionSpec(
+    "settles-at-2", (), AffinePowerTail(B=2, A=3, alpha=3, beta=-5, gamma=0, delta=5)
+)
+_SLOW_ZERO = ActionSpec(
+    "slow-zero", (), PeriodicTail((RankPair(1, 0),) * 999 + (RankPair(2, 1),))
+)
+_CAR3_LOWER_64 = Fraction(144394047543, 500000000000)
+_IS_POSITIVE_EXITS = [
+    ("car3", K0Element(2, 0, 0), 64, "yes", {"kind": "zero_class"}),
+    ("car1", K0Element(1, 1, -1), 64, "yes", {"kind": "zero_class", "annihilated_at": 2}),
+    ("car2", K0Element(1, 1, -1), 64, "no", {"kind": "mixed_signs_persist", "u": 0, "v": 2}),
+    ("car3", K0Element(0, -1, 0), 64, "no", {"kind": "negative_total_rank", "u": -1}),
+    ("car3", K0Element(0, 1, 0), 64, "yes", {"kind": "in_cone_at_stage", "stage": 0}),
+    (
+        "car3", K0Element(1, 10, -9), 64, "no",
+        {
+            "kind": "tail_threshold_exceeded",
+            "threshold": Fraction(1, 19),
+            "tail_lower": _CAR3_LOWER_64,
+        },
+    ),
+    (
+        # settle depth 2 > cutoff 1
+        _SETTLES_AT_2, K0Element(0, 2**39 + 1, -(2**39)), 1, "unknown",
+        {
+            "kind": "cutoff_exhausted",
+            "cutoff": 1,
+            "interval": [Fraction(0), Fraction(666666666667, 10**12)],
+            "threshold": Fraction(1, 2**40 + 1),
+        },
+    ),
+    (
+        # each period multiplies the gap product by 1/3, and the threshold
+        # 2**-199 needs 126 periods of 1000 stages
+        _SLOW_ZERO, K0Element(0, 1 + 2**199, 1 - 2**199), 8, "unknown",
+        {"kind": "scan_exhausted", "scanned_to": 65536, "cutoff": 8},
+    ),
+    (
+        # the midpoint of the cutoff-64 enclosure, inside every enclosure
+        "car3", "midpoint", 1, "unknown",
+        {
+            "kind": "threshold_boundary",
+            "threshold": "midpoint",
+            "interval": [_CAR3_LOWER_64, Fraction(288788095087, 10**12)],
+            "cutoff": 1,
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, el, cutoff, decision, witness",
+    _IS_POSITIVE_EXITS,
+    ids=[row[4]["kind"] for row in _IS_POSITIVE_EXITS],
+)
+def test_is_positive_exits(spec, el, cutoff, decision, witness):
+    spec = fixture(spec) if isinstance(spec, str) else spec
+    if el == "midpoint":
+        el = _car3_midpoint_element()
+        witness = {**witness, "threshold": Fraction(el.u, abs(el.v))}
+    verdict = is_positive(spec, el, cutoff)
+    assert verdict.decision == decision
+    assert list(verdict.witness.items()) == list(witness.items())
