@@ -18,9 +18,10 @@ counts per cutoff are printed as well.
 
 A second, ``positivity`` digest reaches the refinement of tail enclosures:
 ``ktheory --query positive --json`` for the same specs and cutoffs and two
-elements at stage m whose thresholds sit at -2**-80 and +2**-80 from the
-exact gap product of factors m+1 .. m+96.  The witness kinds of their
-``positive`` verdicts are counted.
+elements at stage m whose thresholds sit at a factor 1 - 2**-80 and
+1 + 2**-80 of the exact gap product of factors m+1 .. m+96, so both have a
+positive total rank whenever that product is positive.  The witness kinds of
+their ``positive`` verdicts are counted.
 
 A third digest covers ``cantor``, over G-set documents from the
 benchmark's generator (``perfbench/docs.py``) for seeds 0-299: ``--json``
@@ -28,7 +29,12 @@ for a free G-set with singletons and with a block cover, the text line for
 the block cover, and the exit code and stderr for a non-free document, a
 malformed one (one broken axiom, or up to three broken entries) and four
 bad covers (colliding, insufficient, unknown name, not a list).  The exit
-code counts are printed with it.  Run from anywhere:
+code counts are printed with it.
+
+A fourth, ``traces`` digest covers the text line of ``traces`` (the
+rendering of weights for display) for extremes 0, 1 and ``inv`` at stages m
+and m + 2, for the specs and cutoffs of the first digest, with the exit code
+counts.  Run from anywhere:
 
     python3 scripts/output_digest.py
 
@@ -69,16 +75,41 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return rc, _VERSION_RE.sub('"tool_version": "*"', out.getvalue()), err.getvalue()
 
 
-def near_threshold(spec, depth: int, bits: int, deltas) -> list[str]:
+def hashed_run(digest, argv: list[str], tmp: str) -> tuple[int, str]:
+    """Run argv and hash it with its exit code and outputs.  The temporary
+    paths differ between runs, so only their names are hashed."""
+    rc, out, err = run(argv)
+    shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
+    digest.update("\n".join([" ".join(shown), str(rc), out, err, ""]).encode())
+    return rc, out
+
+
+def spec_files(tmp: str):
+    """Yield (spec, path) for every seed, with the spec written to path."""
+    for seed in SEEDS:
+        spec = random_spec(random.Random(seed), f"s{seed}")
+        path = Path(tmp) / f"s{seed}.json"
+        path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+        yield spec, str(path)
+
+
+def near_threshold(spec, depth: int, bits: int, deltas, relative: bool = False) -> list[str]:
     """Elements a,b@m, m the prefix length, with thresholds u/|v| at
-    delta * 2**-bits from about gap_product(spec, m, m + depth)."""
+    delta * 2**-bits from about P = gap_product(spec, m, m + depth), or, when
+    relative, at about a factor 1 + delta * 2**-bits of P."""
     m = len(spec.prefix)
     near = gap_product(spec, m, m + depth)
-    v = 2 ** (bits + 1)
-    centre = near.numerator * 2**bits // near.denominator
+    shift = bits
+    if relative:
+        # v is scaled to P so that centre keeps 2 * bits significant bits and
+        # u stays positive whenever P is
+        shift = 2 * bits + max(near.denominator.bit_length() - near.numerator.bit_length(), 0)
+    v = 2 ** (shift + 1)
+    centre = near.numerator * 2**shift // near.denominator
+    step = max(centre >> bits, 1) if relative else 1
     els = []
     for delta in deltas:
-        u = 2 * (centre + delta)
+        u = 2 * (centre + delta * step)
         els.append(((u + v) // 2, (u - v) // 2))
     return [f"{a},{b}@{m}" for a, b in els]
 
@@ -92,13 +123,10 @@ def main_digest() -> None:
     digest = hashlib.sha256()
     tracial: dict[int, Counter] = {c: Counter() for c in CUTOFFS}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            spec = random_spec(random.Random(seed), f"s{seed}")
-            path = Path(tmp) / f"s{seed}.json"
-            path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+        for spec, path in spec_files(tmp):
             m = len(spec.prefix)
             for cutoff in CUTOFFS:
-                common = [str(path), "--json", "--cutoff", str(cutoff)]
+                common = [path, "--json", "--cutoff", str(cutoff)]
                 calls = [["classify", *common]]
                 calls += [
                     ["ktheory", *common, "--query", "positive", "--element", el]
@@ -109,15 +137,10 @@ def main_digest() -> None:
                     for e, stage in (("0", m), ("1", m), ("1", m + 2))
                 ]
                 for argv in calls:
-                    rc, out, err = run(argv)
+                    rc, out = hashed_run(digest, argv, tmp)
                     if argv[0] == "classify":
                         decision = json.loads(out)["classification"]["tracial_rokhlin"]
                         tracial[cutoff][decision["decision"]] += 1
-                    # the temporary path differs between runs; hash its name only
-                    shown = [path.name if a == str(path) else a for a in argv]
-                    digest.update(
-                        "\n".join([" ".join(shown), str(rc), out, err, ""]).encode()
-                    )
     print(digest.hexdigest())
     for cutoff in CUTOFFS:
         counts = tracial[cutoff]
@@ -131,24 +154,36 @@ def positivity_digest() -> None:
     digest = hashlib.sha256()
     kinds: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            spec = random_spec(random.Random(seed), f"s{seed}")
-            path = Path(tmp) / f"s{seed}.json"
-            path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+        for spec, path in spec_files(tmp):
             for cutoff in CUTOFFS:
-                for el in near_threshold(spec, 96, 80, (-1, 1)):
+                for el in near_threshold(spec, 96, 80, (-1, 1), relative=True):
                     argv = [
-                        "ktheory", str(path), "--json", "--cutoff", str(cutoff),
+                        "ktheory", path, "--json", "--cutoff", str(cutoff),
                         "--query", "positive", "--element", el,
                     ]
-                    rc, out, err = run(argv)
+                    rc, out = hashed_run(digest, argv, tmp)
                     kinds[json.loads(out)["ktheory"]["positive"]["witness"]["kind"]] += 1
-                    shown = [path.name if a == str(path) else a for a in argv]
-                    digest.update(
-                        "\n".join([" ".join(shown), str(rc), out, err, ""]).encode()
-                    )
     print(f"positivity {digest.hexdigest()}")
     print("positivity witness kinds: " + ", ".join(f"{k}: {kinds[k]}" for k in sorted(kinds)))
+
+
+def traces_digest() -> None:
+    digest = hashlib.sha256()
+    codes: Counter = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec, path in spec_files(tmp):
+            m = len(spec.prefix)
+            for cutoff in CUTOFFS:
+                for extreme in ("0", "1", "inv"):
+                    for stage in (m, m + 2):
+                        argv = [
+                            "traces", path, "--cutoff", str(cutoff),
+                            "--extreme", extreme, "--stage", str(stage),
+                        ]
+                        rc, _ = hashed_run(digest, argv, tmp)
+                        codes[rc] += 1
+    print(f"traces {digest.hexdigest()}")
+    print("traces exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
 
 
 def broken_entries(rng: random.Random, doc: dict) -> dict:
@@ -195,10 +230,8 @@ def cantor_digest() -> None:
             return str(path)
 
         def call(argv: list[str]) -> None:
-            rc, out, err = run(argv)
+            rc, _ = hashed_run(digest, argv, tmp)
             codes[rc] += 1
-            shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
-            digest.update("\n".join([" ".join(shown), str(rc), out, err, ""]).encode())
 
         for seed in CANTOR_SEEDS:
             rng = random.Random(f"cantor/{seed}")
@@ -230,3 +263,4 @@ if __name__ == "__main__":
     main_digest()
     positivity_digest()
     cantor_digest()
+    traces_digest()

@@ -1,7 +1,7 @@
 """Exact interval arithmetic with rational endpoints.
 
 Endpoints are `fractions.Fraction`, so enclosures are certified without any
-floating-point rounding; floats appear only in display helpers.
+floating-point rounding.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class RatInterval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     @property
     def is_exact(self) -> bool:
@@ -92,9 +88,6 @@ class RatInterval:
         if self.is_exact:
             return str(self.lo)
         return f"[{self.lo}, {self.hi}]"
-
-    def approx(self) -> float:
-        return float(self.midpoint)
 
 
 def collapse(x: RatInterval) -> Fraction | RatInterval:

@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import chain
 
 from .actions import ActionSpec, FiniteActionError, RankPair
-from .intervals import RatInterval
 
 DEFAULT_CUTOFF = 64
 
@@ -63,10 +62,6 @@ class TailPositive:
         if not (0 < self.lower <= self.upper <= 1):
             raise ValueError(f"invalid positive enclosure [{self.lower}, {self.upper}]")
 
-    @property
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class TailUnknown:
@@ -75,10 +70,6 @@ class TailUnknown:
     cutoff: int
     lower: Fraction
     upper: Fraction
-
-    @property
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lower, self.upper)
 
 
 TailProductResult = TailZero | TailPositive | TailUnknown
@@ -223,9 +214,3 @@ def _enclose_gap_product(
         hi = -(_shifted(-hi * a, shift) // b)
         scale += shift
     return Fraction(lo, 1 << scale), Fraction(hi, 1 << scale)
-
-
-def tail_result_interval(result: TailProductResult) -> RatInterval:
-    if isinstance(result, TailZero):
-        return RatInterval.exact(0)
-    return result.interval

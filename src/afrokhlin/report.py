@@ -16,7 +16,7 @@ from .citations import CITATIONS
 from .classify import ALWAYS_TRUE_FACTS, ClassificationReport, Verdict
 from .intervals import RatInterval, round_outward
 from .ktheory import FgAbPresentation, K0Element
-from .traces import TraceVector
+from .traces import TraceVector, Weight
 
 SCHEMA_VERSION = "1"
 
@@ -54,8 +54,6 @@ def jsonify(value):
         return value
     if isinstance(value, float):
         return "inf" if value == math.inf else value
-    if isinstance(value, RatInterval):
-        return {"lo": decimal_str(value.lo), "hi": decimal_str(value.hi)}
     if isinstance(value, SupernaturalNumber):
         return value.to_json()
     if isinstance(value, dict):
@@ -197,26 +195,22 @@ def presentation_json(p: FgAbPresentation) -> dict:
     }
 
 
-def display_weight(w):
-    """Round interval weights outward for display; exact rationals pass through."""
+def weight_json(w: Weight) -> str | dict:
+    """An exact weight as a decimal string; an interval weight rounded outward
+    to 12 digits as {"lo", "hi"}."""
     if isinstance(w, RatInterval):
-        return round_outward(w)
-    return w
-
-
-def weight_str(w) -> str:
-    w = display_weight(w)
-    if isinstance(w, RatInterval):
-        return f"[{decimal_str(w.lo)}, {decimal_str(w.hi)}]"
+        w = round_outward(w)
+        return {"lo": decimal_str(w.lo), "hi": decimal_str(w.hi)}
     return decimal_str(w)
 
 
+def weight_str(w: Weight) -> str:
+    w = weight_json(w)
+    return w if isinstance(w, str) else f"[{w['lo']}, {w['hi']}]"
+
+
 def trace_vector_json(tv: TraceVector) -> dict:
-    return {
-        "stage": tv.stage,
-        "r": jsonify(display_weight(tv.r)),
-        "s": jsonify(display_weight(tv.s)),
-    }
+    return {"stage": tv.stage, "r": weight_json(tv.r), "s": weight_json(tv.s)}
 
 
 def citations_appendix(keys) -> dict:

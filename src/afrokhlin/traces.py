@@ -7,6 +7,9 @@ simplex is swept out by applying the mixing matrix of the certified tail gap
 product to an endpoint parameter (r, 1 - r).  When every tail product
 vanishes the simplex is a point and only the flip-invariant trace (1/2, 1/2)
 exists; extreme-trace queries then refuse.
+
+A weight is a `Fraction` when it is known exactly and otherwise a
+`RatInterval` with lo < hi that encloses it; every weight lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -17,9 +20,17 @@ from fractions import Fraction
 from .actions import ActionSpec, FiniteActionError
 from .classify import UndecidedError, require_infinite
 from .intervals import RatInterval, collapse
-from .products import DEFAULT_CUTOFF, TailUnknown, gap_product_tail, tail_result_interval
+from .products import DEFAULT_CUTOFF, TailUnknown, TailZero, gap_product_tail
 
 Weight = Fraction | RatInterval
+
+
+def _unit_hull(w: Weight, what: str) -> RatInterval:
+    """The enclosure of w, which must lie inside [0, 1]."""
+    hull = RatInterval.hull(w)
+    if hull.lo < 0 or hull.hi > 1:
+        raise ValueError(f"{what} must lie in [0, 1], got {w}")
+    return hull
 
 
 class UniqueTraceError(ValueError):
@@ -35,7 +46,7 @@ class TraceVector:
     s: Weight
 
     def __post_init__(self):
-        total = RatInterval.hull(self.r) + RatInterval.hull(self.s)
+        total = _unit_hull(self.r, "trace weight r") + _unit_hull(self.s, "trace weight s")
         if 1 not in total:
             raise ValueError(f"weights must sum to 1, got enclosure {total}")
 
@@ -51,9 +62,7 @@ class MixingMatrix:
     lam: Weight
 
     def __post_init__(self):
-        hull = RatInterval.hull(self.lam)
-        if hull.lo < 0 or hull.hi > 1:
-            raise ValueError(f"mixing parameter must lie in [0, 1], got {self.lam}")
+        _unit_hull(self.lam, "mixing parameter")
 
     @property
     def entries(self) -> tuple[tuple[Weight, Weight], tuple[Weight, Weight]]:
@@ -64,8 +73,8 @@ class MixingMatrix:
 
     def apply(self, r: Weight, s: Weight) -> tuple[Weight, Weight]:
         (same, cross), _ = self.entries
-        new_r = RatInterval.hull(same) * r + RatInterval.hull(cross) * s
-        new_s = RatInterval.hull(cross) * r + RatInterval.hull(same) * s
+        new_r = RatInterval.hull(same) * r + cross * s
+        new_s = RatInterval.hull(cross) * r + same * s
         return collapse(new_r), collapse(new_s)
 
 
@@ -110,9 +119,8 @@ def extreme_trace_vector(
         )
     result = gap_product_tail(spec, n, cutoff)
     assert not isinstance(result, TailUnknown)
-    tail = tail_result_interval(result)
-    r = collapse((1 + tail) / 2)
-    s = collapse((1 - tail) / 2)
+    tail = 0 if isinstance(result, TailZero) else RatInterval(result.lower, result.upper)
+    (r, s), _ = mixing_matrix(tail).entries
     if extreme == 1:
         return TraceVector(n, r, s)
     return TraceVector(n, s, r)
@@ -127,4 +135,4 @@ def trace_of_element(spec: ActionSpec, el, tv: TraceVector) -> Weight:
     if el.stage > 0 and spec.tail is None and el.stage > len(spec.prefix):
         raise FiniteActionError("stage beyond the final factor of a finite action")
     total = spec.total_size(el.stage)
-    return collapse((RatInterval.hull(tv.r) * el.a + RatInterval.hull(tv.s) * el.b) / total)
+    return collapse((RatInterval.hull(tv.r) * el.a + tv.s * el.b) / total)

@@ -11,6 +11,8 @@ from afrokhlin import (
     PeriodicTail,
     RankPair,
     RatInterval,
+    TailZero,
+    UndecidedError,
     UniqueTraceError,
     extreme_trace_vector,
     fixture,
@@ -19,6 +21,9 @@ from afrokhlin import (
     mixing_matrix,
     trace_of_element,
 )
+from afrokhlin.traces import TraceVector
+from oracles import exact_gap_product_tail
+from specgen import random_spec
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=1000)
 
@@ -89,6 +94,51 @@ def test_extreme_vector_refuses_unique_trace():
         extreme_trace_vector(fixture("car2"), 1, 0)
     with pytest.raises(UniqueTraceError):
         extreme_trace_vector(fixture("car1"), 0, 2)
+
+
+def test_extreme_vectors_match_exact_oracle():
+    # weights (1 +- L)/2 must enclose those of the exact tail product, stay
+    # exact exactly when it is, and mirror each other between the extremes
+    two_trace = intervals = 0
+    for seed in range(200):
+        spec = random_spec(random.Random(seed), f"s{seed}")
+        n0 = len(spec.prefix)
+        for n in (n0, n0 + 2):
+            for cutoff in (1, 8, 64):
+                try:
+                    tv = extreme_trace_vector(spec, 1, n, cutoff)
+                except (UniqueTraceError, UndecidedError):
+                    continue
+                two_trace += 1
+                want = exact_gap_product_tail(spec, n, cutoff)
+                lam = (
+                    RatInterval.exact(0)
+                    if isinstance(want, TailZero)
+                    else RatInterval(want.lower, want.upper)
+                )
+                for w, exact in ((tv.r, (1 + lam) / 2), (tv.s, (1 - lam) / 2)):
+                    assert RatInterval.hull(w).contains_interval(exact), (seed, n, cutoff)
+                    if exact.is_exact:
+                        assert isinstance(w, Fraction), (seed, n, cutoff)
+                    else:
+                        assert isinstance(w, RatInterval) and w.lo < w.hi, (seed, n, cutoff)
+                        intervals += 1
+                mirror = extreme_trace_vector(spec, 0, n, cutoff)
+                assert (mirror.r, mirror.s) == (tv.s, tv.r)
+                assert 1 in RatInterval.hull(tv.r) + tv.s
+    assert two_trace > 300 and intervals > 300
+
+
+def test_trace_vector_rejects_weights_outside_unit_interval():
+    # these weights sum to 1 but would give the positive class (0, 1) at
+    # stage 2 of car3 the trace -1/16
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        TraceVector(2, Fraction(3, 2), Fraction(-1, 2))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        TraceVector(2, RatInterval(Fraction(-1, 4), Fraction(1, 2)), Fraction(1, 2))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        TraceVector(2, Fraction(1, 2), RatInterval(Fraction(1, 2), Fraction(5, 4)))
+    assert TraceVector(2, RatInterval(Fraction(0), Fraction(1)), Fraction(1, 2)).stage == 2
 
 
 def test_compatibility_recursion_car3():
