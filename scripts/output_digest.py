@@ -34,7 +34,15 @@ code counts are printed with it.
 A fourth, ``traces`` digest covers the text line of ``traces`` (the
 rendering of weights for display) for extremes 0, 1 and ``inv`` at stages m
 and m + 2, for the specs and cutoffs of the first digest, with the exit code
-counts.  Run from anywhere:
+counts.
+
+A fifth, ``ranges`` digest covers the commands built on finite products of
+factors, for the same specs at the default cutoff: ``condense`` (text and
+``--json``) over ranges 0..m+3, m..m+5, 1..12, the empty range m+2..m+2 and
+the reversed range m+3..m+1; ``bratteli`` (text and ``--json``) for m + 1 and
+m + 6 stages; and ``ktheory --json`` with ``--query equal-zero`` and
+``--query flip`` for four elements at stages 0, m, m + 1 and m + 2.  The
+exit code counts are printed with it.  Run from anywhere:
 
     python3 scripts/output_digest.py
 
@@ -186,6 +194,35 @@ def traces_digest() -> None:
     print("traces exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
 
 
+def ranges_digest() -> None:
+    digest = hashlib.sha256()
+    codes: Counter = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec, path in spec_files(tmp):
+            m = len(spec.prefix)
+            calls = [
+                ["condense", path, "--range", f"{lo}..{hi}", *fmt]
+                for lo, hi in ((0, m + 3), (m, m + 5), (1, 12), (m + 2, m + 2), (m + 3, m + 1))
+                for fmt in ([], ["--json"])
+            ]
+            calls += [
+                ["bratteli", path, "--stages", str(stages), *fmt]
+                for stages in (m + 1, m + 6)
+                for fmt in ([], ["--json"])
+            ]
+            # with "=", since argparse takes a bare "-2,2@0" for an option
+            calls += [
+                ["ktheory", path, "--json", "--query", query, f"--element={el}"]
+                for el in ("-2,2@0", f"1,-1@{m}", f"3,-5@{m + 1}", f"4,4@{m + 2}")
+                for query in ("equal-zero", "flip")
+            ]
+            for argv in calls:
+                rc, _ = hashed_run(digest, argv, tmp)
+                codes[rc] += 1
+    print(f"ranges {digest.hexdigest()}")
+    print("ranges exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
+
+
 def broken_entries(rng: random.Random, doc: dict) -> dict:
     """Up to three swapped, overwritten or out-of-range entries of the table
     or the action; for one document in four, the first is a repeated entry
@@ -264,3 +301,4 @@ if __name__ == "__main__":
     positivity_digest()
     cantor_digest()
     traces_digest()
+    ranges_digest()

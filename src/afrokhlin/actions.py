@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import ClassVar
 
 
@@ -322,15 +323,30 @@ class ActionSpec:
             )
         return self.tail.pair_at(n - len(self.prefix))
 
-    def matrix_size(self, n: int) -> int:
-        return self.factor(n).size
+    def partial_products(self, m: int):
+        """Yield (n, diff, size) for n = m, m + 1, ...: the unreduced products
+        of the rank differences p - q and of the matrix sizes p + q of factors
+        m+1 .. n.  Factors are fetched one at a time, as the walk advances."""
+        n, diff, size = m, 1, 1
+        while True:
+            yield n, diff, size
+            n += 1
+            f = self.factor(n)
+            diff *= f.p - f.q
+            size *= f.size
+
+    def range_product(self, m: int, n: int) -> tuple[int, int]:
+        """(diff, size) of ``partial_products(m)`` at n; empty ranges give (1, 1)."""
+        if m < 0:
+            raise ValueError(f"range start must be >= 0, got {m}")
+        if n < m:
+            raise ValueError(f"range end {n} precedes start {m}")
+        _, diff, size = next(islice(self.partial_products(m), n - m, None))
+        return diff, size
 
     def total_size(self, n: int) -> int:
         """Product of the matrix sizes of factors 1..n (1 for n = 0)."""
-        out = 1
-        for i in range(1, n + 1):
-            out *= self.matrix_size(i)
-        return out
+        return self.range_product(0, n)[1]
 
 
 def factor_at(spec: ActionSpec, n: int) -> RankPair:

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 decided, 2 input error, 3 a verdict stayed unknown at the
-cutoff, 4 domain precondition failed (non-free action).
+cutoff, 4 domain precondition failed (a non-free G-set, or an extreme-trace
+query on an action with a unique tracial state).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import json
 import os
 import re
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .actions import (
@@ -43,7 +45,7 @@ from .ktheory import (
     is_totally_ordered,
     is_zero,
 )
-from .products import DEFAULT_CUTOFF, condense, gap_product
+from .products import DEFAULT_CUTOFF, condense
 from .report import (
     classification_json,
     classification_text,
@@ -180,13 +182,15 @@ def cmd_condense(args) -> int:
         raise InvalidActionSpec(f"malformed range {args.range!r}; expected 'm..n'")
     lo, hi = int(m.group(1)), int(m.group(2))
     pair = condense(spec, lo, hi)
+    # the gap ratio of the condensed pair is the gap product of the range
+    gap = jsonify(pair.gap)
     doc = envelope("condense", spec, None)
     doc["condense"] = {
         "range": [lo, hi],
         "pair": [pair.p, pair.q],
         "size": pair.size,
-        "gap": jsonify(pair.gap),
-        "gap_product_check": jsonify(gap_product(spec, lo, hi)),
+        "gap": gap,
+        "gap_product_check": gap,
         "citations": list(cite("condensation")),
     }
     text = (
@@ -199,8 +203,7 @@ def cmd_condense(args) -> int:
 
 def bratteli_dot(spec: ActionSpec, stages: int) -> str:
     lines = ["digraph bratteli {", "  rankdir=TB;"]
-    for n in range(1, stages + 1):
-        t = spec.total_size(n)
+    for n, _, t in islice(spec.partial_products(0), 1, stages + 1):
         lines.append(f'  L{n} [label="{t}"];')
         lines.append(f'  R{n} [label="{t}"];')
     for n in range(2, stages + 1):
@@ -392,6 +395,9 @@ def main(argv=None) -> int:
         g, x = exc.witness
         print(f"error: {exc} (witness g={g}, x={x})", file=sys.stderr)
         return EXIT_DOMAIN
+    except UniqueTraceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except json.JSONDecodeError as exc:
         print(
             f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -407,7 +413,6 @@ def main(argv=None) -> int:
         InvalidCover,
         FiniteActionError,
         FactorRangeError,
-        UniqueTraceError,
         OSError,
         ValueError,
     ) as exc:

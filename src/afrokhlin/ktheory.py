@@ -4,10 +4,13 @@ of finitely generated abelian groups.
 K0 of the crossed product is the colimit of Z^2 under the symmetric stage
 matrices [[p_n, q_n], [q_n, p_n]].  In the coordinates u = a + b, v = a - b
 each stage map is diagonal: u scales by the matrix size k_n, v by the rank
-difference p_n - q_n.  Equality and positivity of colimit classes are decided
-lazily from these scalings together with gap-product thresholds: a class with
-u > 0 is positive exactly when |v| * gap_product(stage, N) <= u at some finite
-stage N, which the certified tail enclosures resolve.
+difference p_n - q_n.  `push_forward` works in this diagonal form, scaling u
+and v by the products of the factor walk `ActionSpec.partial_products`, and
+`is_positive` scans the same walk stage by stage; `TransitionMatrix` is the
+stage map in matrix form.  Equality and positivity of colimit classes are
+decided lazily from these scalings together with gap-product thresholds: a
+class with u > 0 is positive exactly when |v| * gap_product(stage, N) <= u
+at some finite stage N, which the certified tail enclosures resolve.
 
 The presentation engine computes colimits of a fixed finitely generated
 abelian presentation under an eventually periodic sequence of self-maps.  It
@@ -104,10 +107,9 @@ def flip(el: K0Element) -> K0Element:
 def push_forward(spec: ActionSpec, el: K0Element, to_stage: int) -> K0Element:
     if to_stage < el.stage:
         raise ValueError(f"cannot push stage {el.stage} back to stage {to_stage}")
-    vec = (el.a, el.b)
-    for n in range(el.stage + 1, to_stage + 1):
-        vec = transition(spec, n).apply(vec)
-    return K0Element(to_stage, vec[0], vec[1])
+    diff, size = spec.range_product(el.stage, to_stage)
+    u, v = el.u * size, el.v * diff
+    return K0Element(to_stage, (u + v) // 2, (u - v) // 2)
 
 
 def _is_zero_class(spec: ActionSpec, el: K0Element) -> bool:
@@ -136,23 +138,6 @@ def is_zero(spec: ActionSpec, el: K0Element) -> bool:
 # and doublings of the cutoff when refining the tail enclosure.
 _SCAN_HARD_CAP = 1 << 16
 _MAX_DOUBLINGS = 6
-
-
-def _cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
-    """Yield (n, inside) for n = s, s + 1, ...: whether the pushforward to
-    stage n of a stage-s class with these u and |v| lies in the cone, that is
-    |v| * gap_product(s, n) <= u.
-
-    The product is kept unreduced as num / den, the products of the rank
-    differences and of the sizes, so no step pays for a gcd.
-    """
-    n, num, den = s, 1, 1
-    while True:
-        yield n, absv * num <= u * den
-        n += 1
-        f = spec.factor(n)
-        num *= f.p - f.q
-        den *= f.size
 
 
 def is_positive(
@@ -193,7 +178,8 @@ def is_positive(
     # An exact tail product is reached by stage max(prefix length + 1, s),
     # which this first scan covers, so no exact enclosure below can equal the
     # threshold.  Later scans resume where this one stopped.
-    scan = _cone_scan(spec, s, u, abs(v))
+    absv = abs(v)
+    scan = ((n, absv * diff <= u * size) for n, diff, size in spec.partial_products(s))
     n, inside = next(scan)
     scan_to = max(s + max(cutoff, 8), len(spec.prefix) + 1)
     while not inside and n < scan_to:
@@ -201,7 +187,7 @@ def is_positive(
     if inside:
         return Verdict(YES, {"kind": "in_cone_at_stage", "stage": n}, anchors)
 
-    ratio = Fraction(u, abs(v))
+    ratio = Fraction(u, absv)
     tail = gap_product_tail(spec, s, cutoff)
     if isinstance(tail, TailUnknown):
         return Verdict(

@@ -16,8 +16,12 @@ upper end up) at a working precision derived from r alone.  Factors are
 multiplied exactly, with unreduced integer numerator and denominator, while
 that denominator fits the precision, so a short product comes back exact.
 
-Finite products (`gap_product`) and condensations are exact.  No floating
-point enters any result; see `afrokhlin.intervals`.
+Every finite product is read off the factor walk
+`ActionSpec.partial_products`, the unreduced products of p - q and p + q
+over a range: `gap_product` reduces one quotient of it, `condense` turns it
+into a factor, and the exact phase of the tail enclosures follows it until
+the denominator outgrows the precision.  Finite products and condensations
+are exact.  No floating point enters any result; see `afrokhlin.intervals`.
 """
 
 from __future__ import annotations
@@ -82,14 +86,7 @@ def gap(spec: ActionSpec, n: int) -> Fraction:
 
 def gap_product(spec: ActionSpec, m: int, n: int) -> Fraction:
     """Product of the gap ratios of factors m+1 .. n; empty ranges give 1."""
-    if m < 0:
-        raise ValueError(f"range start must be >= 0, got {m}")
-    if n < m:
-        raise ValueError(f"range end {n} precedes start {m}")
-    out = Fraction(1)
-    for i in range(m + 1, n + 1):
-        out *= spec.factor(i).gap
-    return out
+    return Fraction(*spec.range_product(m, n))
 
 
 def condense(spec: ActionSpec, m: int, n: int) -> RankPair:
@@ -101,12 +98,7 @@ def condense(spec: ActionSpec, m: int, n: int) -> RankPair:
     """
     if m < 0 or n <= m:
         raise ValueError(f"condense needs a nonempty range 0 <= m < n, got {m}..{n}")
-    size = 1
-    diff = 1
-    for i in range(m + 1, n + 1):
-        f = spec.factor(i)
-        size *= f.size
-        diff *= f.p - f.q
+    diff, size = spec.range_product(m, n)
     return RankPair((size + diff) // 2, (size - diff) // 2)
 
 
@@ -194,16 +186,13 @@ def _enclose_gap_product(
     From then on both ends are integer mantissas of about ``prec`` bits over a
     common power of two, lo floored and hi ceiled at every factor.
     """
-    factors = ((f.p - f.q, f.size) for f in map(spec.factor, range(m + 1, n + 1)))
-    num = den = 1
-    for a, b in factors:
-        num *= a
-        den *= b
+    for k, num, den in spec.partial_products(m):
         if den.bit_length() > prec:
             break
-    else:
-        exact = Fraction(num, den)
-        return exact, exact
+        if k == n:
+            exact = Fraction(num, den)
+            return exact, exact
+    factors = ((f.p - f.q, f.size) for f in map(spec.factor, range(k + 1, n + 1)))
     lo = hi = 1
     scale = 0  # the mantissas stand for lo / 2**scale and hi / 2**scale
     for a, b in chain([(num, den)], factors):

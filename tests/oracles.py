@@ -26,7 +26,6 @@ from afrokhlin import (
     TailPositive,
     TailUnknown,
     TailZero,
-    gap_product,
 )
 from afrokhlin.cantor import (
     FiniteGSet,
@@ -119,15 +118,22 @@ def exact_gap_product_tail(spec: ActionSpec, m: int, cutoff: int):
         return TailZero(divergence=divergence)
     settle = tail.settle_depth()
     if settle > cutoff:
-        upper = gap_product(spec, m, max(m, n0 + cutoff))
+        upper = _reduced_gap_product(spec, m, max(m, n0 + cutoff))
         return TailUnknown(cutoff=cutoff, lower=Fraction(0), upper=upper)
     depth = max(settle, m - n0)
     if tail.remainder_bound(depth):
         depth += cutoff
-    partial = Fraction(1)
-    for i in range(m + 1, n0 + depth + 1):
-        partial *= spec.factor(i).gap
+    partial = _reduced_gap_product(spec, m, n0 + depth)
     return TailPositive(partial * (1 - tail.remainder_bound(depth)), partial)
+
+
+def _reduced_gap_product(spec: ActionSpec, m: int, n: int) -> Fraction:
+    """Gap ratios of factors m+1 .. n multiplied one factor at a time, each
+    step a reduced Fraction, instead of the package's unreduced factor walk."""
+    partial = Fraction(1)
+    for i in range(m + 1, n + 1):
+        partial *= spec.factor(i).gap
+    return partial
 
 
 def tower_base_exists(gs: FiniteGSet) -> bool:

@@ -310,3 +310,19 @@ def test_factorize_matches_trial_division():
             want[prime] = want.get(prime, 0) + 1
         got = _factorize(p * q * small)
         assert got == want and list(got) == sorted(got), (p, q, small)
+
+
+def test_partial_products_walk_is_lazy_and_unreduced():
+    spec = ActionSpec("fin", (RankPair(3, 1), RankPair(2, 2), RankPair(5, 0)), None)
+    walk = spec.partial_products(0)
+    assert [next(walk) for _ in range(4)] == [(0, 1, 1), (1, 2, 4), (2, 0, 16), (3, 0, 80)]
+    with pytest.raises(FactorRangeError):
+        next(walk)
+    assert spec.range_product(1, 3) == (0, 20)
+    assert spec.range_product(2, 2) == (1, 1)
+    assert spec.total_size(3) == 80
+    for m, n in ((-1, 2), (2, 1)):
+        with pytest.raises(ValueError):
+            spec.range_product(m, n)
+    with pytest.raises(FactorRangeError):
+        spec.range_product(2, 4)

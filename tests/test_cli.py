@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from afrokhlin import ActionSpec, fixture
+from afrokhlin.cli import bratteli_dot, main
+
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = ("car1", "car2", "car3", "notcar")
 
@@ -67,7 +70,6 @@ def test_exit_code_input_errors(tmp_path):
     assert run_cli("classify", str(finite)).returncode == 2
 
     assert run_cli("ktheory", "car1", "--element", "zz", "--query", "flip").returncode == 2
-    assert run_cli("traces", "car2", "--stage", "1", "--extreme", "1").returncode == 2
     assert run_cli("classify", "car1", "--cutoff", "0").returncode == 2
 
 
@@ -151,6 +153,16 @@ def test_exit_code_non_free(tmp_path):
     assert "witness" in r.stderr
 
 
+def test_exit_code_unique_trace_refusal():
+    # a well-formed extreme-trace query on an action with one tracial state is
+    # refused as a domain precondition, not as an input error
+    for extreme in ("0", "1"):
+        r = run_cli("traces", "car2", "--stage", "1", "--extreme", extreme)
+        assert r.returncode == 4
+        assert "unique tracial state" in r.stderr
+    assert run_cli("traces", "car2", "--stage", "1", "--extreme", "inv").returncode == 0
+
+
 def test_bratteli_output():
     r = run_cli("bratteli", "car2", "--stages", "2")
     assert r.returncode == 0
@@ -213,3 +225,33 @@ def test_quiet_suppresses_text():
     r = run_cli("classify", "car1", "--quiet")
     assert r.returncode == 0
     assert r.stdout == ""
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The indices passed to ActionSpec.factor while the test runs."""
+    calls = []
+    real = ActionSpec.factor
+
+    def counted(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(ActionSpec, "factor", counted)
+    return calls
+
+
+def test_bratteli_walks_the_stages_once(factor_calls):
+    dot = bratteli_dot(fixture("car2"), 60)
+    assert len(factor_calls) <= 2 * 60
+    car2, t = fixture("car2"), 1
+    for n in range(1, 61):
+        t *= car2.factor(n).size
+        assert f'  L{n} [label="{t}"];' in dot
+
+
+def test_condense_multiplies_each_factor_once(factor_calls, capsys):
+    assert main(["condense", "car3", "--range", "0..40", "--json"]) == 0
+    assert len(factor_calls) == 40
+    doc = json.loads(capsys.readouterr().out)["condense"]
+    assert doc["gap"] == doc["gap_product_check"] == "0"

@@ -97,6 +97,19 @@ def test_push_forward_composition_randomized():
         assert direct == stepped
 
 
+def test_push_forward_matches_stage_matrices_randomized():
+    # the diagonal (u, v) form against the stage maps applied one at a time
+    rng = random.Random(57)
+    for _ in range(300):
+        spec = random_spec(rng)
+        el = K0Element(rng.randint(0, 5), rng.randint(-99, 99), rng.randint(-99, 99))
+        to = el.stage + rng.randint(0, 8)
+        vec = (el.a, el.b)
+        for n in range(el.stage + 1, to + 1):
+            vec = transition(spec, n).apply(vec)
+        assert push_forward(spec, el, to) == K0Element(to, *vec)
+
+
 def test_flip_involution_and_commutation():
     rng = random.Random(56)
     for _ in range(300):

@@ -19,7 +19,7 @@ from afrokhlin import (
     gap_product_tail,
 )
 from afrokhlin.intervals import round_down, round_up
-from afrokhlin.products import first_zero_gap_after
+from afrokhlin.products import _enclose_gap_product, first_zero_gap_after
 from afrokhlin.report import classification_json
 from oracles import dyadic_euler_interval, exact_gap_product_tail, sign_tensor_counts
 from specgen import random_factor_list, random_spec
@@ -277,3 +277,13 @@ def test_tail_enclosure_bits_follow_remainder():
     for end in (result.lower, result.upper):
         assert end.denominator.bit_length() < 2 * 2048 + 256
     assert result.upper - result.lower < Fraction(1, 2**2048)
+
+
+def test_enclosure_rounds_when_the_last_factor_outgrows_the_precision():
+    # 3**40 fits in 64 bits and 3**41 does not, so the exact product stops
+    # one factor short of the end and the enclosure is rounded
+    spec = ActionSpec("thirds", (), PeriodicTail((RankPair(2, 1),)))
+    assert _enclose_gap_product(spec, 0, 40, 64) == (Fraction(1, 3**40),) * 2
+    lo, hi = _enclose_gap_product(spec, 0, 41, 64)
+    assert lo < Fraction(1, 3**41) < hi
+    assert max(lo.denominator, hi.denominator).bit_length() > 64
