@@ -42,7 +42,23 @@ factors, for the same specs at the default cutoff: ``condense`` (text and
 the reversed range m+3..m+1; ``bratteli`` (text and ``--json``) for m + 1 and
 m + 6 stages; and ``ktheory --json`` with ``--query equal-zero`` and
 ``--query flip`` for four elements at stages 0, m, m + 1 and m + 2.  The
-exit code counts are printed with it.  Run from anywhere:
+exit code counts are printed with it.
+
+A sixth, ``frontend`` digest covers what the others leave out:
+``torsion`` (text and ``--json``, with and without ``--notor``) for m = 1..6
+and 20 seeded r-sequences; ``classify`` and ``ktheory`` (the three queries)
+as text for the same specs; every subcommand under ``--quiet``; and input
+errors: a missing spec file, invalid JSON, a schema error, a finite spec
+given to ``classify``, malformed elements, ranges and r-sequences,
+``--stages 0``, ``--m 0``, ``--cutoff 0``, bad ``AFROKHLIN_CUTOFF`` values and
+argparse failures (missing arguments, bad choices, unknown flags, ``--help``).
+Argparse wraps its messages at ``COLUMNS``, which is fixed to 80 here.  The
+exit code counts are printed with it.
+
+The six digests are recorded in ``output_digests.json`` next to this script.
+The script compares what it computed against that file and exits 1, naming
+each digest that differs, so an intended output change is an edit to that
+file.  Run from anywhere:
 
     python3 scripts/output_digest.py
 
@@ -55,12 +71,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
@@ -73,21 +91,29 @@ from specgen import random_spec  # noqa: E402
 SEEDS = range(500)
 CUTOFFS = (1, 64, 200)
 CANTOR_SEEDS = range(300)
+TORSION_SEEDS = range(20)
+RECORDED = Path(__file__).resolve().with_name("output_digests.json")
 _VERSION_RE = re.compile(r'"tool_version": "[^"]*"')
 
 
-def run(argv: list[str]) -> tuple[int, str, str]:
+def run(argv: list[str], env: dict | None = None) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+    environ = mock.patch.dict(os.environ, env) if env else contextlib.nullcontext()
+    with environ, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            rc = exc.code if isinstance(exc.code, int) else 1
     return rc, _VERSION_RE.sub('"tool_version": "*"', out.getvalue()), err.getvalue()
 
 
-def hashed_run(digest, argv: list[str], tmp: str) -> tuple[int, str]:
-    """Run argv and hash it with its exit code and outputs.  The temporary
-    paths differ between runs, so only their names are hashed."""
-    rc, out, err = run(argv)
-    shown = [Path(a).name if a.startswith(tmp) else a for a in argv]
+def hashed_run(digest, argv: list[str], tmp: str, env: dict | None = None) -> tuple[int, str]:
+    """Run argv, under env when given, and hash it with its exit code and
+    outputs.  The temporary paths differ between runs, so only their names
+    are hashed."""
+    rc, out, err = run(argv, env)
+    shown = [f"{k}={v}" for k, v in (env or {}).items()]
+    shown += [Path(a).name if a.startswith(tmp) else a for a in argv]
     digest.update("\n".join([" ".join(shown), str(rc), out, err, ""]).encode())
     return rc, out
 
@@ -127,7 +153,7 @@ def elements(spec) -> list[str]:
     return [f"1,-1@{len(spec.prefix)}", *near_threshold(spec, 24, 40, (-1, 0, 1))]
 
 
-def main_digest() -> None:
+def main_digest() -> str:
     digest = hashlib.sha256()
     tracial: dict[int, Counter] = {c: Counter() for c in CUTOFFS}
     with tempfile.TemporaryDirectory() as tmp:
@@ -156,9 +182,10 @@ def main_digest() -> None:
             f"cutoff {cutoff}: tracial yes/no/unknown = "
             f"{counts['yes']}/{counts['no']}/{counts['unknown']}"
         )
+    return digest.hexdigest()
 
 
-def positivity_digest() -> None:
+def positivity_digest() -> str:
     digest = hashlib.sha256()
     kinds: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -173,9 +200,10 @@ def positivity_digest() -> None:
                     kinds[json.loads(out)["ktheory"]["positive"]["witness"]["kind"]] += 1
     print(f"positivity {digest.hexdigest()}")
     print("positivity witness kinds: " + ", ".join(f"{k}: {kinds[k]}" for k in sorted(kinds)))
+    return digest.hexdigest()
 
 
-def traces_digest() -> None:
+def traces_digest() -> str:
     digest = hashlib.sha256()
     codes: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -192,9 +220,10 @@ def traces_digest() -> None:
                         codes[rc] += 1
     print(f"traces {digest.hexdigest()}")
     print("traces exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
+    return digest.hexdigest()
 
 
-def ranges_digest() -> None:
+def ranges_digest() -> str:
     digest = hashlib.sha256()
     codes: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -210,7 +239,8 @@ def ranges_digest() -> None:
                 for stages in (m + 1, m + 6)
                 for fmt in ([], ["--json"])
             ]
-            # with "=", since argparse takes a bare "-2,2@0" for an option
+            # with "=", the form of a negative element that every version of
+            # the CLI accepts
             calls += [
                 ["ktheory", path, "--json", "--query", query, f"--element={el}"]
                 for el in ("-2,2@0", f"1,-1@{m}", f"3,-5@{m + 1}", f"4,4@{m + 2}")
@@ -221,6 +251,108 @@ def ranges_digest() -> None:
                 codes[rc] += 1
     print(f"ranges {digest.hexdigest()}")
     print("ranges exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
+    return digest.hexdigest()
+
+
+def frontend_digest() -> str:
+    digest = hashlib.sha256()
+    codes: Counter = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def call(argv: list[str], env: dict | None = None) -> None:
+            rc, _ = hashed_run(digest, argv, tmp, env)
+            codes[rc] += 1
+
+        for seed in TORSION_SEEDS:
+            rng = random.Random(f"torsion/{seed}")
+            # at most six r <= 1000, so the product of the 2r + 1 stays small
+            # enough to factor at once
+            rs = ",".join(str(rng.randint(1, 1000)) for _ in range(rng.randint(1, 6)))
+            for m in range(1, 7):
+                for variant in ([], ["--notor"]):
+                    for fmt in ([], ["--json"]):
+                        call(["torsion", "--m", str(m), "--r", rs, *variant, *fmt])
+        call(["torsion", "--m", "2", "--r", "1,2", "--quiet"])
+
+        for spec, path in spec_files(tmp):
+            m = len(spec.prefix)
+            call(["classify", path])
+            call(["classify", path, "--cutoff", "1"])
+            for query in ("positive", "equal-zero", "flip"):
+                for el in (f"1,-1@{m}", f"3,-5@{m + 1}"):
+                    call(["ktheory", path, "--query", query, "--element", el])
+            quiet = [path, "--quiet", "--cutoff", "1"]
+            call(["classify", *quiet])
+            call(["ktheory", *quiet, "--query", "positive", "--element", f"1,-1@{m}"])
+            call(["traces", *quiet, "--extreme", "1", "--stage", str(m)])
+            call(["condense", *quiet, "--range", f"0..{m + 3}"])
+            call(["bratteli", *quiet, "--stages", str(m + 1)])
+
+        gset, _ = docs.gset_doc(random.Random("frontend"), "cyclic", 4, 12)
+        gset_path = Path(tmp) / "gset.json"
+        gset_path.write_text(json.dumps(gset), encoding="utf-8")
+        call(["cantor", str(gset_path), "--quiet"])
+
+        finite = Path(tmp) / "finite.json"
+        finite.write_text(
+            json.dumps({"name": "fin", "prefix": [[1, 0]], "tail": {"kind": "none"}})
+        )
+        schema = Path(tmp) / "schema.json"
+        schema.write_text(json.dumps({"name": "x", "prefix": [[1]], "tail": {"kind": "none"}}))
+        # a relative path, since the messages name it
+        missing = "no/such/file.json"
+        broken = ("{ not json }", "", '{"name": "x", "prefix": [[1, 2]', "[1, 2,]")
+        for i, text in enumerate(broken):
+            bad = Path(tmp) / f"bad{i}.json"
+            bad.write_text(text, encoding="utf-8")
+            call(["classify", str(bad)])
+            call(["cantor", str(bad)])
+        for spec_arg in ("car1", "car3", str(finite), str(schema), missing, "nosuchfixture"):
+            call(["classify", spec_arg])
+            call(["condense", spec_arg, "--range", "0..2"])
+            call(["bratteli", spec_arg, "--stages", "3"])
+        for el in ("zz", "1,2", "1,2@", "1,2@-1", "1;2@0", "1,2@0x", "+1,2@0"):
+            call(["ktheory", "car3", "--query", "flip", f"--element={el}"])
+        for rng_text in ("1..", "a..b", "3-5", "..4", "-1..2", "1...3"):
+            call(["condense", "car2", f"--range={rng_text}"])
+        for r in ("", ",", "1,x", "0,2", "-1", "1.5", "1,,2"):
+            call(["torsion", "--m", "2", f"--r={r}"])
+        call(["torsion", "--m", "0", "--r", "1"])
+        call(["bratteli", "car2", "--stages", "0"])
+        call(["bratteli", "car2", "--stages", "-3"])
+        call(["bratteli", str(finite), "--stages", "2"])
+        for cutoff in ("0", "-5"):
+            call(["classify", "car3", "--cutoff", cutoff])
+        for value in ("abc", "0", "-3", "", "1.5"):
+            call(["classify", "car3"], {"AFROKHLIN_CUTOFF": value})
+        call(["traces", "car3", "--stage", "1", "--extreme", "1"], {"AFROKHLIN_CUTOFF": "8"})
+        call(["cantor", missing])
+        call(["cantor", str(gset_path), "--cover", missing])
+        for argv in (
+            [],
+            ["nosuchcommand"],
+            ["classify"],
+            ["classify", "car1", "--bogus"],
+            ["classify", "car1", "--cutoff", "x"],
+            ["ktheory", "car3", "--element", "1,1@1"],
+            ["ktheory", "car3", "--query", "flip"],
+            ["ktheory", "car3", "--element", "1,1@1", "--query", "nope"],
+            ["ktheory", "car3", "--element", "--query", "flip"],
+            ["traces", "car2", "--stage", "1", "--extreme", "2"],
+            ["traces", "car2", "--stage", "x", "--extreme", "0"],
+            ["condense", "car2"],
+            ["bratteli", "car2", "--stages", "2", "--format", "svg"],
+            ["torsion", "--r", "1"],
+            ["torsion", "--m", "x", "--r", "1"],
+            ["cantor"],
+            ["--help"],
+            ["classify", "--help"],
+            ["torsion", "-h"],
+        ):
+            call(argv, {"COLUMNS": "80"})
+    print(f"frontend {digest.hexdigest()}")
+    print("frontend exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
+    return digest.hexdigest()
 
 
 def broken_entries(rng: random.Random, doc: dict) -> dict:
@@ -256,7 +388,7 @@ def bad_covers(rng: random.Random, doc: dict, orbits, cover: list) -> list:
     return [colliding, cover[:-1], unknown, not_list]
 
 
-def cantor_digest() -> None:
+def cantor_digest() -> str:
     digest = hashlib.sha256()
     codes: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -294,11 +426,24 @@ def cantor_digest() -> None:
             call(["cantor", write(f"malformed{seed}.json", malformed), "--json"])
     print(f"cantor {digest.hexdigest()}")
     print("cantor exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":
-    main_digest()
-    positivity_digest()
-    cantor_digest()
-    traces_digest()
-    ranges_digest()
+    computed = {
+        "main": main_digest(),
+        "positivity": positivity_digest(),
+        "cantor": cantor_digest(),
+        "traces": traces_digest(),
+        "ranges": ranges_digest(),
+        "frontend": frontend_digest(),
+    }
+    recorded = json.loads(RECORDED.read_text(encoding="utf-8"))
+    differ = [name for name, value in computed.items() if recorded.get(name) != value]
+    for name in differ:
+        print(
+            f"{name} differs from {RECORDED.name}: recorded {recorded.get(name)}, "
+            f"computed {computed[name]}",
+            file=sys.stderr,
+        )
+    sys.exit(1 if differ else 0)

@@ -1,8 +1,17 @@
 """Command line front end.
 
+There is one output path.  Each ``cmd_*`` takes the parsed arguments and the
+resolved spec (None for ``torsion`` and ``cantor``) and returns its JSON
+document, its text and whether a verdict stayed unknown; it does no I/O.
+``main`` resolves the cutoff and then the spec, runs the command, prints the
+document under ``--json``, else the text unless ``--quiet``, and returns the
+exit code.  Errors go to stderr as one line.
+
 Exit codes: 0 decided, 2 input error, 3 a verdict stayed unknown at the
 cutoff, 4 domain precondition failed (a non-free G-set, or an extreme-trace
-query on an action with a unique tracial state).
+query on an action with a unique tracial state).  ``main`` never raises
+``SystemExit``: on an argparse failure or ``--help`` it returns argparse's
+code (2 or 0) after argparse has printed its message.
 """
 
 from __future__ import annotations
@@ -64,6 +73,8 @@ EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_DOMAIN = 4
 
+Result = tuple[dict, str, bool]  # document, text, a verdict stayed unknown
+
 
 def _default_cutoff() -> int:
     env = os.environ.get("AFROKHLIN_CUTOFF")
@@ -91,13 +102,6 @@ def resolve_spec(arg: str) -> ActionSpec:
         return spec_from_json(json.load(fh))
 
 
-def _emit(args, doc: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    elif not args.quiet:
-        print(text)
-
-
 _ELEMENT_RE = re.compile(r"^(-?\d+),(-?\d+)@(\d+)$")
 
 
@@ -110,15 +114,12 @@ def parse_element(text: str) -> K0Element:
     return K0Element(stage=int(m.group(3)), a=int(m.group(1)), b=int(m.group(2)))
 
 
-def cmd_classify(args) -> int:
-    spec = resolve_spec(args.spec)
+def cmd_classify(args, spec: ActionSpec) -> Result:
     report = classification_report(spec, args.cutoff)
-    _emit(args, classification_json(report), classification_text(report))
-    return EXIT_UNKNOWN if report.has_unknown else EXIT_OK
+    return classification_json(report), classification_text(report), report.has_unknown
 
 
-def cmd_ktheory(args) -> int:
-    spec = resolve_spec(args.spec)
+def cmd_ktheory(args, spec: ActionSpec) -> Result:
     el = parse_element(args.element)
     doc = envelope("ktheory", spec, args.cutoff)
     section: dict = {"element": element_json(el), "query": args.query}
@@ -150,12 +151,10 @@ def cmd_ktheory(args) -> int:
     section["totally_ordered"] = verdict_json(total)
     lines.append(f"- K0 of the crossed product totally ordered: {total.decision}")
     doc["ktheory"] = section
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_UNKNOWN if (unknown or total.is_unknown) else EXIT_OK
+    return doc, "\n".join(lines), unknown or total.is_unknown
 
 
-def cmd_traces(args) -> int:
-    spec = resolve_spec(args.spec)
+def cmd_traces(args, spec: ActionSpec) -> Result:
     if args.extreme == "inv":
         tv = invariant_trace_vector(spec, args.stage)
         which = "invariant"
@@ -168,15 +167,13 @@ def cmd_traces(args) -> int:
         f"{which} trace weights of {spec.name!r} at stage {tv.stage}: "
         f"r = {weight_str(tv.r)}, s = {weight_str(tv.s)}"
     )
-    _emit(args, doc, text)
-    return EXIT_OK
+    return doc, text, False
 
 
 _RANGE_RE = re.compile(r"^(\d+)\.\.(\d+)$")
 
 
-def cmd_condense(args) -> int:
-    spec = resolve_spec(args.spec)
+def cmd_condense(args, spec: ActionSpec) -> Result:
     m = _RANGE_RE.match(args.range.strip())
     if not m:
         raise InvalidActionSpec(f"malformed range {args.range!r}; expected 'm..n'")
@@ -197,8 +194,7 @@ def cmd_condense(args) -> int:
         f"factors {lo + 1}..{hi} of {spec.name!r} condense to ({pair.p}, {pair.q}) "
         f"in M_{pair.size} with gap ratio {pair.gap}"
     )
-    _emit(args, doc, text)
-    return EXIT_OK
+    return doc, text, False
 
 
 def bratteli_dot(spec: ActionSpec, stages: int) -> str:
@@ -216,19 +212,14 @@ def bratteli_dot(spec: ActionSpec, stages: int) -> str:
     return "\n".join(lines)
 
 
-def cmd_bratteli(args) -> int:
-    spec = resolve_spec(args.spec)
+def cmd_bratteli(args, spec: ActionSpec) -> Result:
     if args.stages < 1:
         raise InvalidActionSpec("--stages must be >= 1")
     spec.factor(args.stages)  # raises early for finite actions that are too short
     dot = bratteli_dot(spec, args.stages)
-    if args.json:
-        doc = envelope("bratteli", spec, None)
-        doc["bratteli"] = {"stages": args.stages, "format": "dot", "dot": dot}
-        print(json.dumps(doc, indent=2))
-    elif not args.quiet:
-        print(dot)
-    return EXIT_OK
+    doc = envelope("bratteli", spec, None)
+    doc["bratteli"] = {"stages": args.stages, "format": "dot", "dot": dot}
+    return doc, dot, False
 
 
 def _parse_r_sequence(text: str) -> tuple[int, ...]:
@@ -243,7 +234,7 @@ def _parse_r_sequence(text: str) -> tuple[int, ...]:
     return values
 
 
-def cmd_torsion(args) -> int:
+def cmd_torsion(args, spec: ActionSpec | None) -> Result:
     if args.m < 1:
         raise InvalidActionSpec("--m must be >= 1")
     rs = _parse_r_sequence(args.r)
@@ -277,9 +268,7 @@ def cmd_torsion(args) -> int:
             "m": args.m,
             "r": list(rs),
             "k0": presentation_json(k0),
-            "k0_torsion_subgroup": (
-                " (+) ".join(f"Z/{d}" for d in k0.torsion) if k0.torsion else "0"
-            ),
+            "k0_torsion_subgroup": str(FgAbPresentation(0, k0.torsion)),
             "k1": {"value": "0", "citations": list(cite("torsion-family-k0"))},
             "citations": list(cite("torsion-family-k0")),
         }
@@ -287,11 +276,10 @@ def cmd_torsion(args) -> int:
             f"torsion family (m={args.m}, r={list(rs)}): K0 = {k0}, "
             f"torsion subgroup Z/{2**args.m}, K1 = 0"
         )
-    _emit(args, doc, text)
-    return EXIT_OK
+    return doc, text, False
 
 
-def cmd_cantor(args) -> int:
+def cmd_cantor(args, spec: ActionSpec | None) -> Result:
     with open(args.gset, "r", encoding="utf-8") as fh:
         gs = gset_from_json(json.load(fh))
     if args.cover:
@@ -309,8 +297,7 @@ def cmd_cantor(args) -> int:
     }
     base = ", ".join(sorted(gs.elements[x] for x in tower.base))
     text = f"tower base of size {len(tower.base)}: {{{base}}}"
-    _emit(args, doc, text)
-    return EXIT_OK
+    return doc, text, False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,15 +369,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_elements(argv: list[str]) -> list[str]:
+    """argparse reads a negative element such as ``-1,1@1`` as an option, so
+    ``--element -1,1@1`` (or an abbreviation down to ``--el``) is passed on
+    as ``--element=-1,1@1``."""
+    for i in range(len(argv) - 2, -1, -1):
+        flag, value = argv[i], argv[i + 1]
+        if flag.startswith("--el") and "--element".startswith(flag) and re.match(r"-\d", value):
+            argv[i : i + 2] = [f"--element={value}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_joined_elements(list(sys.argv[1:] if argv is None else argv)))
         if args.cutoff is None:
             args.cutoff = _default_cutoff()
         elif args.cutoff < 1:
             raise InvalidActionSpec("--cutoff must be positive")
-        return args.func(args)
+        spec = resolve_spec(args.spec) if "spec" in args else None
+        doc, text, unknown = args.func(args, spec)
+        if args.json:
+            print(json.dumps(doc, indent=2))
+        elif not args.quiet:
+            print(text)
+        return EXIT_UNKNOWN if unknown else EXIT_OK
+    except SystemExit as exc:  # argparse has printed its usage, error or help
+        return exc.code
     except NotFreeError as exc:
         g, x = exc.witness
         print(f"error: {exc} (witness g={g}, x={x})", file=sys.stderr)

@@ -370,11 +370,6 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
     return U, S, V
 
 
-def invariant_factors(mat) -> tuple[int, ...]:
-    _, S, _ = smith_normal_form(mat)
-    return tuple(S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)))
-
-
 def _kernel_basis(mat) -> list[list[int]]:
     """Basis (as column vectors) of the integer kernel lattice."""
     rows = len(mat)
@@ -503,26 +498,21 @@ def _subgroup_invariant_factors(gens: Matrix, orders: tuple[int, ...]) -> tuple[
 
 
 def _stable_image_factors(tb: Matrix, orders: tuple[int, ...]) -> tuple[int, ...]:
-    """Invariant factors of the eventual image of a torsion self-map.
+    """Invariant factors of the eventual image of a torsion self-map T.
 
-    Images form a decreasing chain of finite subgroups, so they stabilize
-    within log2(order) iterations; the colimit of the torsion part is the
-    stabilized image (the map restricts to an automorphism of it).
+    The images of T^k form a decreasing chain of finite subgroups, and each
+    strict step at least halves the order, so the image of T^k is stable once
+    k >= log2(order).  T is squared until its exponent 2^s passes that bound
+    (2^s > bit_length(order)), and the subgroup of that power is computed
+    once.  The colimit of the torsion part is the stable image (the map
+    restricts to an automorphism of it).
     """
-    t = len(orders)
-    if t == 0:
+    if not orders:
         return ()
-    step = _reduce_mod_orders(tb, orders)
-    power = step
-    previous = _subgroup_invariant_factors(power, orders)
-    total = math.prod(orders)
-    for _ in range(total.bit_length() + 1):
-        power = _reduce_mod_orders(mat_mul(power, step), orders)
-        current = _subgroup_invariant_factors(power, orders)
-        if math.prod(current) == math.prod(previous):
-            return current
-        previous = current
-    return previous
+    power = _reduce_mod_orders(tb, orders)
+    for _ in range(math.prod(orders).bit_length().bit_length()):
+        power = _reduce_mod_orders(mat_mul(power, power), orders)
+    return _subgroup_invariant_factors(power, orders)
 
 
 def fgab_colimit(

@@ -24,11 +24,9 @@ SCHEMA_VERSION = "1"
 def decimal_str(fr: Fraction) -> str:
     """Exact decimal rendering when the denominator allows one, else p/q."""
     num, den = fr.numerator, fr.denominator
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    d = den >> twos
+    fives = 0
     while d % 5 == 0:
         d //= 5
         fives += 1

@@ -255,3 +255,77 @@ def test_condense_multiplies_each_factor_once(factor_calls, capsys):
     assert len(factor_calls) == 40
     doc = json.loads(capsys.readouterr().out)["condense"]
     assert doc["gap"] == doc["gap_product_check"] == "0"
+
+
+# One call per subcommand, run in-process; "GSET" stands for a free G-set file.
+SUBCOMMANDS = [
+    (["classify", "car1"], 0),
+    (["classify", "SLOW", "--cutoff", "1"], 3),
+    (["ktheory", "car3", "--element", "1,-1@1", "--query", "positive"], 0),
+    (["traces", "car2", "--stage", "1", "--extreme", "inv"], 0),
+    (["condense", "car3", "--range", "0..3"], 0),
+    (["bratteli", "car2", "--stages", "2"], 0),
+    (["torsion", "--m", "3", "--r", "1,2"], 0),
+    (["cantor", "GSET"], 0),
+]
+
+
+def in_process(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert type(rc) is int
+    return rc, out, err
+
+
+@pytest.mark.parametrize("form", ["text", "--json", "--quiet"])
+@pytest.mark.parametrize("argv,code", SUBCOMMANDS, ids=[argv[0] for argv, _ in SUBCOMMANDS])
+def test_main_returns_the_exit_code_in_every_form(argv, code, form, tmp_path, capsys):
+    files = {"GSET": gset_file(tmp_path), "SLOW": slow_spec_file(tmp_path)}
+    argv = [files.get(a, a) for a in argv] + ([] if form == "text" else [form])
+    rc, out, err = in_process(argv, capsys)
+    assert rc == code, err
+    assert err == ""
+    if form == "--quiet":
+        assert out == ""
+    elif form == "--json":
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert list(doc)[:3] == ["schema_version", "tool_version", "command"]
+        assert doc["command"] == argv[0]
+    else:
+        assert out.strip() and not out.startswith("{")
+
+
+@pytest.mark.parametrize(
+    "argv,code,stream,needle",
+    [
+        ([], 2, "err", "required: command"),
+        (["classify"], 2, "err", "required: spec"),
+        (["ktheory", "car3", "--element", "1,1@1"], 2, "err", "required: --query"),
+        (["ktheory", "car3", "--element", "1,1@1", "--query", "nope"], 2, "err", "invalid choice"),
+        (["traces", "car2", "--stage", "x", "--extreme", "0"], 2, "err", "invalid int value"),
+        (["classify", "car1", "--bogus"], 2, "err", "unrecognized arguments: --bogus"),
+        (["--help"], 0, "out", "usage: afrokhlin"),
+        (["torsion", "--help"], 0, "out", "--notor"),
+    ],
+)
+def test_main_returns_argparse_codes(argv, code, stream, needle, capsys):
+    rc, out, err = in_process(argv, capsys)
+    assert rc == code
+    assert needle in (out if stream == "out" else err)
+
+
+@pytest.mark.parametrize("query", ["positive", "equal-zero", "flip"])
+def test_negative_element_as_its_own_argument(query, capsys):
+    base = ["ktheory", "car3", "--query", query]
+    for form in ([], ["--json"]):
+        joined = in_process([*base, "--element=-1,1@1", *form], capsys)
+        split = in_process([*base, "--element", "-1,1@1", *form], capsys)
+        assert split == joined
+        assert split[0] == 0
+    text = in_process([*base, "--element", "-1,1@1"], capsys)[1]
+    assert text.startswith("element (-1, 1) at stage 1 on 'car3'")
+    assert in_process([*base, "--elem", "-1,1@1"], capsys)[1] == text
+    r = run_cli(*base, "--element", "-1,1@1", "--json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["ktheory"]["element"] == {"stage": 1, "a": -1, "b": 1}

@@ -285,6 +285,14 @@ def test_colimit_torsion_image_stabilizes():
     assert out.torsion == (2,)
 
 
+def test_colimit_torsion_long_image_chain():
+    # The images of x2 on Z/1024 fall through ten strict steps; a power of the
+    # map short of 2^10 (say 2^8, one squaring too few) would leave Z/4.
+    assert fgab_colimit(FgAbPresentation(0, (1024,)), [[[2]]]).torsion == ()
+    out = fgab_colimit(FgAbPresentation(0, (2, 1024)), [[[1, 0], [0, 2]]])
+    assert out.torsion == (2,)
+
+
 def order_multiset(orders, elements):
     """Element-order statistics classify finite abelian groups up to iso."""
     from math import gcd
