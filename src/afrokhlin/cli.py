@@ -12,6 +12,11 @@ cutoff, 4 domain precondition failed (a non-free G-set, or an extreme-trace
 query on an action with a unique tracial state).  ``main`` never raises
 ``SystemExit``: on an argparse failure or ``--help`` it returns argparse's
 code (2 or 0) after argparse has printed its message.
+
+``main`` builds its parser on its first call and reuses it in the process, so
+in-process callers pay for the argparse setup once; a one-shot shell call is
+unchanged.  The parser holds nothing read per call: ``AFROKHLIN_CUTOFF`` is
+read after parsing, and argparse reads ``COLUMNS`` when it prints help.
 """
 
 from __future__ import annotations
@@ -200,8 +205,9 @@ def cmd_condense(args, spec: ActionSpec) -> Result:
 def bratteli_dot(spec: ActionSpec, stages: int) -> str:
     lines = ["digraph bratteli {", "  rankdir=TB;"]
     for n, _, t in islice(spec.partial_products(0), 1, stages + 1):
-        lines.append(f'  L{n} [label="{t}"];')
-        lines.append(f'  R{n} [label="{t}"];')
+        size = str(t)  # decimal conversion is quadratic in the digits: once per stage
+        lines.append(f'  L{n} [label="{size}"];')
+        lines.append(f'  R{n} [label="{size}"];')
     for n in range(2, stages + 1):
         f = spec.factor(n)
         lines.append(f'  L{n - 1} -> L{n} [label="{f.p}"];')
@@ -371,19 +377,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _joined_elements(argv: list[str]) -> list[str]:
     """argparse reads a negative element such as ``-1,1@1`` as an option, so
-    ``--element -1,1@1`` (or an abbreviation down to ``--el``) is passed on
-    as ``--element=-1,1@1``."""
-    for i in range(len(argv) - 2, -1, -1):
+    under ``ktheory`` ``--element -1,1@1``, or any abbreviation argparse
+    accepts (down to ``--e``), is passed on as ``--element=-1,1@1``.  Only
+    ``ktheory`` has ``--element``; in ``traces``, ``--e`` is ``--extreme``."""
+    if argv[:1] != ["ktheory"]:
+        return argv
+    for i in range(len(argv) - 2, 0, -1):
         flag, value = argv[i], argv[i + 1]
-        if flag.startswith("--el") and "--element".startswith(flag) and re.match(r"-\d", value):
+        if flag.startswith("--e") and "--element".startswith(flag) and re.match(r"-\d", value):
             argv[i : i + 2] = [f"--element={value}"]
     return argv
 
 
+_parser: argparse.ArgumentParser | None = None  # filled by main's first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(_joined_elements(list(sys.argv[1:] if argv is None else argv)))
+        args = _parser.parse_args(_joined_elements(list(sys.argv[1:] if argv is None else argv)))
         if args.cutoff is None:
             args.cutoff = _default_cutoff()
         elif args.cutoff < 1:

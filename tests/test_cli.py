@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
 
-from afrokhlin import ActionSpec, fixture
+from afrokhlin import ActionSpec, cli, fixture
 from afrokhlin.cli import bratteli_dot, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -329,3 +330,79 @@ def test_negative_element_as_its_own_argument(query, capsys):
     r = run_cli(*base, "--element", "-1,1@1", "--json")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["ktheory"]["element"] == {"stage": 1, "a": -1, "b": 1}
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Count build_parser calls, starting from an empty parser cache."""
+    calls = []
+    real = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return calls
+
+
+def test_main_builds_the_parser_once(build_calls, tmp_path, capsys):
+    files = {"GSET": gset_file(tmp_path), "SLOW": slow_spec_file(tmp_path)}
+    mix = [([files.get(a, a) for a in argv], code) for argv, code in SUBCOMMANDS]
+    mix += [
+        (["ktheory", "car3", "--element", "1,1@1", "--query", "nope"], 2),
+        (["classify", "car1", "--bogus"], 2),
+        (["--help"], 0),
+        (["torsion", "--help"], 0),
+    ]
+    for argv, code in islice(cycle(mix), 20):
+        assert in_process(argv, capsys)[0] == code
+    assert len(build_calls) == 1
+
+
+def test_reused_parser_keeps_no_state(monkeypatch, tmp_path, capsys):
+    files = {"GSET": gset_file(tmp_path), "SLOW": slow_spec_file(tmp_path)}
+    steps = [
+        (["ktheory", "car3", "--element", "1,1@1", "--query", "nope"], {}),
+        (["ktheory", "car3", "--element", "1,1@1", "--query", "flip"], {}),
+        (["--help"], {"COLUMNS": "80"}),
+        (["--help"], {"COLUMNS": "120"}),
+        (["classify", "SLOW", "--json"], {"AFROKHLIN_CUTOFF": "1"}),
+        (["classify", "SLOW", "--json"], {}),
+        (["ktheory", "car3", "--element", "-1,1@1", "--query", "flip"], {}),
+    ] + [(argv, {}) for argv, _ in SUBCOMMANDS]
+
+    def run(fresh: bool):
+        monkeypatch.setattr(cli, "_parser", None)
+        results = []
+        for argv, env in steps:
+            monkeypatch.setenv("COLUMNS", env.get("COLUMNS", "80"))
+            if "AFROKHLIN_CUTOFF" in env:
+                monkeypatch.setenv("AFROKHLIN_CUTOFF", env["AFROKHLIN_CUTOFF"])
+            else:
+                monkeypatch.delenv("AFROKHLIN_CUTOFF", raising=False)
+            if fresh:
+                cli._parser = None
+            results.append(in_process([files.get(a, a) for a in argv], capsys))
+        return results
+
+    reused, fresh = run(fresh=False), run(fresh=True)
+    assert reused == fresh
+    assert [r[0] for r in reused[:2]] == [2, 0]
+    assert reused[2][1] != reused[3][1]  # help wrapped at 80 and at 120 columns
+    assert [r[0] for r in reused[4:6]] == [3, 0]
+    assert reused[6][0] == 0
+
+
+def test_element_abbreviations_under_ktheory_only(capsys):
+    base = ["ktheory", "car3", "--query", "flip"]
+    full = in_process([*base, "--element", "-1,1@1"], capsys)
+    assert full[0] == 0
+    for flag in ("--e", "--el", "--eleme"):
+        assert in_process([*base, flag, "-1,1@1"], capsys) == full
+    # in traces --e abbreviates --extreme, and argparse reads it unchanged
+    assert in_process(["traces", "car2", "--stage", "1", "--e", "inv"], capsys)[0] == 0
+    rc, _, err = in_process(["traces", "car2", "--stage", "1", "--e", "-1,1@1"], capsys)
+    assert rc == 2
+    assert "argument --extreme: expected one argument" in err
