@@ -271,6 +271,9 @@ def verify_tower(gs: FiniteGSet, tower: Tower) -> bool:
 # ----------------------------------------------------------------------------
 # JSON documents
 
+_BAD_TABLE = "'group.table' must be a list of rows matching 'order'"
+_BAD_ACTION = "'action' must be a list of rows, one per group element"
+
 
 def gset_from_json(obj) -> FiniteGSet:
     if not isinstance(obj, dict):
@@ -282,17 +285,23 @@ def gset_from_json(obj) -> FiniteGSet:
     if not isinstance(group, dict) or "table" not in group:
         raise InvalidGSet("'group' must be an object with a 'table'")
     table = group["table"]
-    order = group.get("order", len(table))
-    if not isinstance(table, list) or len(table) != order:
-        raise InvalidGSet("'group.table' must be a list of rows matching 'order'")
+    if not isinstance(table, list) or len(table) != group.get("order", len(table)):
+        raise InvalidGSet(_BAD_TABLE)
     action = obj.get("action")
     if not isinstance(action, list):
-        raise InvalidGSet("'action' must be a list of rows, one per group element")
+        raise InvalidGSet(_BAD_ACTION)
     return FiniteGSet(
         elements=tuple(elements),
-        table=tuple(tuple(row) for row in table),
-        action=tuple(tuple(row) for row in action),
+        table=_rows(table, _BAD_TABLE),
+        action=_rows(action, _BAD_ACTION),
     )
+
+
+def _rows(rows: list, message: str) -> tuple[tuple, ...]:
+    try:
+        return tuple(tuple(row) for row in rows)
+    except TypeError:  # a row that is a number, a boolean or null
+        raise InvalidGSet(message) from None
 
 
 def cover_from_json(obj, gs: FiniteGSet) -> list[frozenset[int]]:
@@ -303,10 +312,11 @@ def cover_from_json(obj, gs: FiniteGSet) -> list[frozenset[int]]:
     for i, entry in enumerate(obj):
         if not isinstance(entry, list):
             raise InvalidCover(f"cover entry {i} must be a list of element names", i)
-        try:
-            cover.append(frozenset(index[name] for name in entry))
-        except KeyError as exc:
-            raise InvalidCover(f"cover entry {i} names unknown element {exc}", i)
+        for name in entry:
+            # element names are strings, so no other name is known
+            if not isinstance(name, str) or name not in index:
+                raise InvalidCover(f"cover entry {i} names unknown element {name!r}", i)
+        cover.append(frozenset(index[name] for name in entry))
     return cover
 
 

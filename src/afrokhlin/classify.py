@@ -5,6 +5,10 @@ many factors such that ..."), so each verdict is decided exactly from the
 tail rule; the prefix only influences witnesses.  Verdicts are three-valued:
 yes and no always carry a checkable witness, unknown carries the cutoff that
 was exhausted.  Unknown never collapses to no.
+
+A report stores the four verdicts it decides and derives the crossed
+product's simplicity, supernatural number and extreme trace count from them;
+`extreme_trace_count` alone reads the count from the tail rule, no enclosure.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .citations import cite
 from .intervals import round_down, round_up
 from .products import (
     DEFAULT_CUTOFF,
-    TailPositive,
     TailUnknown,
     TailZero,
     first_zero_gap_after,
@@ -109,18 +112,18 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
     require_infinite(spec)
     anchors = cite("tracial-rokhlin-criterion")
     if spec.tail.divergence() is not None:
-        certificate = gap_product_tail(spec, len(spec.prefix), cutoff)
-        assert isinstance(certificate, TailZero)
+        m = len(spec.prefix)
+    else:
+        m = max(_zero_gap_indices(spec), default=0)
+    result = gap_product_tail(spec, m, cutoff)
+    if isinstance(result, TailZero):
         witness: dict = {"kind": "vanishing_tail_products"}
-        if certificate.zero_index is not None:
-            witness["recurring_zero_gap_index"] = certificate.zero_index
+        if result.zero_index is not None:
+            witness["recurring_zero_gap_index"] = result.zero_index
         else:
-            witness["divergence"] = certificate.divergence
+            witness["divergence"] = result.divergence
         witness.update(spec.tail.gap_limit())
         return Verdict(YES, witness, anchors)
-
-    m = max(_zero_gap_indices(spec), default=0)
-    result = gap_product_tail(spec, m, cutoff)
     if isinstance(result, TailUnknown):
         return Verdict(
             UNKNOWN,
@@ -132,7 +135,6 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
             },
             anchors,
         )
-    assert isinstance(result, TailPositive)
     # witness endpoints are rounded outward, so they still bracket the limit
     return Verdict(
         NO,
@@ -173,18 +175,12 @@ def _simple_from(outer: Verdict) -> Verdict:
     return replace(outer, citations=cite("outerness-criterion"))
 
 
-def _uhf_from(
-    spec: ActionSpec, strict: Verdict
-) -> tuple[Verdict, SupernaturalNumber | None]:
+def _uhf_from(spec: ActionSpec, strict: Verdict) -> Verdict:
     anchors = cite("strict-rokhlin-criterion", "uhf-supernatural")
     if strict.is_yes:
         sn = supernatural_of_algebra(spec)
-        return Verdict(YES, {**strict.witness, "supernatural": sn}, anchors), sn
-    return replace(strict, citations=anchors), None
-
-
-def _trace_count_from(tracial: Verdict) -> int | str:
-    return {YES: 1, NO: 2}.get(tracial.decision, UNKNOWN)
+        return Verdict(YES, {**strict.witness, "supernatural": sn}, anchors)
+    return replace(strict, citations=anchors)
 
 
 def crossed_product_simple_verdict(spec: ActionSpec) -> Verdict:
@@ -200,12 +196,22 @@ def crossed_product_uhf_verdict(
     When yes, the crossed product is the matrix colimit of sizes t(n) and its
     supernatural number equals that of the ambient algebra.
     """
-    return _uhf_from(spec, strict_rokhlin_verdict(spec))
+    uhf = _uhf_from(spec, strict_rokhlin_verdict(spec))
+    return uhf, uhf.witness.get("supernatural")
 
 
 def extreme_trace_count(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> int | str:
-    """1 when every tail gap product vanishes, 2 otherwise."""
-    return _trace_count_from(tracial_rokhlin_verdict(spec, cutoff))
+    """1 when the sum of (1 - gap) diverges, so every tail gap product
+    vanishes; otherwise 2, or unknown when the tail does not settle within
+    the cutoff.  The tracial Rokhlin verdict decides the same way."""
+    require_infinite(spec)
+    if cutoff < 1:
+        raise ValueError("cutoff must be positive")
+    if spec.tail.divergence() is not None:
+        return 1
+    if spec.tail.settle_depth() > cutoff:
+        return UNKNOWN
+    return 2
 
 
 ALWAYS_TRUE_FACTS: dict[str, tuple[str, ...]] = {
@@ -217,28 +223,44 @@ ALWAYS_TRUE_FACTS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Full verdict sheet for one infinite product-type symmetry."""
+    """Full verdict sheet for one infinite product-type symmetry.
+
+    The crossed product is simple iff the action is outer, and has one
+    extreme trace iff the action has the tracial Rokhlin property."""
 
     spec: ActionSpec
     strict_rokhlin: Verdict
     tracial_rokhlin: Verdict
     outer: Verdict
-    crossed_product_simple: Verdict
     crossed_product_uhf: Verdict
-    crossed_product_supernatural: SupernaturalNumber | None
-    extreme_trace_count: int | str
     cutoff: int
 
     @property
+    def crossed_product_simple(self) -> Verdict:
+        return _simple_from(self.outer)
+
+    @property
+    def crossed_product_supernatural(self) -> SupernaturalNumber | None:
+        return self.crossed_product_uhf.witness.get("supernatural")
+
+    @property
+    def extreme_trace_count(self) -> int | str:
+        return {YES: 1, NO: 2}.get(self.tracial_rokhlin.decision, UNKNOWN)
+
+    def verdicts(self) -> dict[str, Verdict]:
+        """The sheet's verdicts by name, in the order they are reported."""
+        return {
+            "strict_rokhlin": self.strict_rokhlin,
+            "tracial_rokhlin": self.tracial_rokhlin,
+            "outer": self.outer,
+            "crossed_product_simple": self.crossed_product_simple,
+            "crossed_product_uhf": self.crossed_product_uhf,
+        }
+
+    @property
     def has_unknown(self) -> bool:
-        verdicts = (
-            self.strict_rokhlin,
-            self.tracial_rokhlin,
-            self.outer,
-            self.crossed_product_simple,
-            self.crossed_product_uhf,
-        )
-        return any(v.is_unknown for v in verdicts) or self.extreme_trace_count == UNKNOWN
+        # the trace count is unknown exactly when the tracial verdict is
+        return any(v.is_unknown for v in self.verdicts().values())
 
     def dual_facts(self) -> dict[str, tuple[str, tuple[str, ...]]]:
         """Derived facts about the dual symmetry, with their anchors."""
@@ -259,17 +281,11 @@ def classification_report(
 ) -> ClassificationReport:
     require_infinite(spec)
     strict = strict_rokhlin_verdict(spec)
-    tracial = tracial_rokhlin_verdict(spec, cutoff)
-    outer = outer_verdict(spec)
-    uhf, sn = _uhf_from(spec, strict)
     return ClassificationReport(
         spec=spec,
         strict_rokhlin=strict,
-        tracial_rokhlin=tracial,
-        outer=outer,
-        crossed_product_simple=_simple_from(outer),
-        crossed_product_uhf=uhf,
-        crossed_product_supernatural=sn,
-        extreme_trace_count=_trace_count_from(tracial),
+        tracial_rokhlin=tracial_rokhlin_verdict(spec, cutoff),
+        outer=outer_verdict(spec),
+        crossed_product_uhf=_uhf_from(spec, strict),
         cutoff=cutoff,
     )

@@ -20,37 +20,27 @@ from __future__ import annotations
 from .actions import ActionSpec, AffinePowerTail, PeriodicTail, RankPair
 
 
-def _car1() -> ActionSpec:
-    return ActionSpec("car1", (), PeriodicTail((RankPair(1, 1),)))
-
-
-def _car2() -> ActionSpec:
-    return ActionSpec(
+_FIXTURES = {
+    "car1": ActionSpec("car1", (), PeriodicTail((RankPair(1, 1),))),
+    "car2": ActionSpec(
         "car2",
         (RankPair(2, 0),),
         AffinePowerTail(B=2, A=2, alpha=1, beta=1, gamma=1, delta=-1),
-    )
-
-
-def _car3() -> ActionSpec:
-    return ActionSpec(
+    ),
+    "car3": ActionSpec(
         "car3",
         (RankPair(1, 1),),
         AffinePowerTail(B=2, A=2, alpha=2, beta=-1, gamma=0, delta=1),
-    )
+    ),
+    "notcar": ActionSpec("notcar", (RankPair(2, 0),), PeriodicTail((RankPair(2, 1),))),
+}
 
-
-def _notcar() -> ActionSpec:
-    return ActionSpec("notcar", (RankPair(2, 0),), PeriodicTail((RankPair(2, 1),)))
-
-
-_BUILDERS = {"car1": _car1, "car2": _car2, "car3": _car3, "notcar": _notcar}
-
-FIXTURE_NAMES = tuple(sorted(_BUILDERS))
+FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 
 
 def fixture(name: str) -> ActionSpec:
+    """The built-in spec of that name; specs are frozen, so it is shared."""
     try:
-        return _BUILDERS[name]()
+        return _FIXTURES[name]
     except KeyError:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")

@@ -112,7 +112,7 @@ def push_forward(spec: ActionSpec, el: K0Element, to_stage: int) -> K0Element:
     return K0Element(to_stage, (u + v) // 2, (u - v) // 2)
 
 
-def _is_zero_class(spec: ActionSpec, el: K0Element) -> bool:
+def is_zero(spec: ActionSpec, el: K0Element) -> bool:
     # u scales by positive sizes, so it must vanish outright; v survives
     # unless a later factor is rank-symmetric and annihilates it.
     if el.u != 0:
@@ -127,11 +127,7 @@ def is_equal(spec: ActionSpec, el1: K0Element, el2: K0Element) -> bool:
     s = max(el1.stage, el2.stage)
     a1 = push_forward(spec, el1, s)
     a2 = push_forward(spec, el2, s)
-    return _is_zero_class(spec, K0Element(s, a1.a - a2.a, a1.b - a2.b))
-
-
-def is_zero(spec: ActionSpec, el: K0Element) -> bool:
-    return _is_zero_class(spec, el)
+    return is_zero(spec, K0Element(s, a1.a - a2.a, a1.b - a2.b))
 
 
 # The work budget of `is_positive`: stages scanned past the element's stage,

@@ -7,7 +7,6 @@ the tool_version field varies between releases).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import __version__
@@ -50,8 +49,6 @@ def jsonify(value):
         return decimal_str(value)
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, float):
-        return "inf" if value == math.inf else value
     if isinstance(value, SupernaturalNumber):
         return value.to_json()
     if isinstance(value, dict):
@@ -84,17 +81,10 @@ def envelope(command: str, spec: ActionSpec | None, cutoff: int | None) -> dict:
 
 def classification_json(report: ClassificationReport) -> dict:
     doc = envelope("classify", report.spec, report.cutoff)
+    sheet = report.verdicts()
     doc["classification"] = {
-        "strict_rokhlin": verdict_json(report.strict_rokhlin),
-        "tracial_rokhlin": verdict_json(report.tracial_rokhlin),
-        "outer": verdict_json(report.outer),
-        "crossed_product_simple": verdict_json(report.crossed_product_simple),
-        "crossed_product_uhf": verdict_json(report.crossed_product_uhf),
-        "crossed_product_supernatural": (
-            report.crossed_product_supernatural.to_json()
-            if report.crossed_product_supernatural is not None
-            else None
-        ),
+        **{name: verdict_json(v) for name, v in sheet.items()},
+        "crossed_product_supernatural": jsonify(report.crossed_product_supernatural),
         "extreme_trace_count": report.extreme_trace_count,
         "always_true_facts": {
             name: {"value": True, "citations": list(anchors)}
@@ -105,15 +95,7 @@ def classification_json(report: ClassificationReport) -> dict:
             for name, (decision, anchors) in report.dual_facts().items()
         },
     }
-    used: list[str] = []
-    for v in (
-        report.strict_rokhlin,
-        report.tracial_rokhlin,
-        report.outer,
-        report.crossed_product_simple,
-        report.crossed_product_uhf,
-    ):
-        used.extend(v.citations)
+    used = [key for v in sheet.values() for key in v.citations]
     for anchors in ALWAYS_TRUE_FACTS.values():
         used.extend(anchors)
     for _, anchors in report.dual_facts().values():
@@ -153,19 +135,21 @@ def _witness_hint(v: Verdict) -> str:
     return ""
 
 
+_VERDICT_LABELS = {
+    "strict_rokhlin": "strict Rokhlin property",
+    "tracial_rokhlin": "tracial Rokhlin property",
+    "outer": "action outer",
+    "crossed_product_simple": "crossed product simple",
+    "crossed_product_uhf": "crossed product UHF",
+}
+
+
 def classification_text(report: ClassificationReport) -> str:
     lines = [f"action {report.spec.name!r} (cutoff {report.cutoff})"]
-
-    def bullet(label: str, v: Verdict):
+    for name, v in report.verdicts().items():
         hint = _witness_hint(v)
         suffix = f"  [{hint}]" if hint else ""
-        lines.append(f"- {label}: {v.decision}{suffix}")
-
-    bullet("strict Rokhlin property", report.strict_rokhlin)
-    bullet("tracial Rokhlin property", report.tracial_rokhlin)
-    bullet("action outer", report.outer)
-    bullet("crossed product simple", report.crossed_product_simple)
-    bullet("crossed product UHF", report.crossed_product_uhf)
+        lines.append(f"- {_VERDICT_LABELS[name]}: {v.decision}{suffix}")
     if report.crossed_product_supernatural is not None:
         lines.append(
             f"- crossed product supernatural number: {report.crossed_product_supernatural}"

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import ActionSpec, FiniteActionError
-from .classify import UndecidedError, require_infinite
+from .classify import UNKNOWN, UndecidedError, extreme_trace_count
 from .intervals import RatInterval, collapse
-from .products import DEFAULT_CUTOFF, TailUnknown, TailZero, gap_product_tail
+from .products import DEFAULT_CUTOFF, TailZero, gap_product_tail
 
 Weight = Fraction | RatInterval
 
@@ -102,23 +102,18 @@ def extreme_trace_vector(
         raise ValueError("extreme must be 0 or 1")
     if n < 0:
         raise ValueError("stage must be >= 0")
-    # The tracial verdict decides the trace count from the tail rule alone:
-    # a divergent sum of (1 - gap) gives a unique trace, and otherwise the
-    # count is undecided exactly when the tail does not settle by the cutoff.
-    require_infinite(spec)
-    if cutoff < 1:
-        raise ValueError("cutoff must be positive")
-    if spec.tail.divergence() is not None:
+    count = extreme_trace_count(spec, cutoff)
+    if count == 1:
         raise UniqueTraceError(
             f"action {spec.name!r} has a unique tracial state; "
             "only the invariant trace vector exists"
         )
-    if spec.tail.settle_depth() > cutoff:
+    if count == UNKNOWN:
         raise UndecidedError(
             f"trace count undecided at cutoff {cutoff} for action {spec.name!r}"
         )
+    # the tail settles by the cutoff, so the tail product is decided
     result = gap_product_tail(spec, n, cutoff)
-    assert not isinstance(result, TailUnknown)
     tail = 0 if isinstance(result, TailZero) else RatInterval(result.lower, result.upper)
     (r, s), _ = mixing_matrix(tail).entries
     if extreme == 1:

@@ -138,6 +138,12 @@ def test_verify_tower_examples():
     assert not verify_tower(gs, overlapping)
     missing = Tower(frozenset({0}), (frozenset({0}), frozenset({1})))
     assert not verify_tower(gs, missing)
+    # disjoint and covering, but one translate for a group of order two
+    too_few = Tower(frozenset(range(4)), (frozenset(range(4)),))
+    assert not verify_tower(gs, too_few)
+    # disjoint and covering, but {0, 1} is not the identity translate of {0, 2}
+    forged = Tower(frozenset({0, 2}), (frozenset({0, 1}), frozenset({2, 3})))
+    assert not verify_tower(gs, forged)
 
 
 def test_gset_validation():

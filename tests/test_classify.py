@@ -11,6 +11,8 @@ from afrokhlin import (
     RankPair,
     classification_report,
     condense,
+    crossed_product_simple_verdict,
+    crossed_product_uhf_verdict,
     extreme_trace_count,
     extreme_trace_vector,
     fixture,
@@ -20,6 +22,7 @@ from afrokhlin import (
     tracial_rokhlin_verdict,
 )
 from afrokhlin import classify, traces
+from afrokhlin.traces import UniqueTraceError
 from specgen import random_pair, random_spec
 
 
@@ -202,3 +205,54 @@ def test_extreme_trace_vector_makes_one_tail_call(monkeypatch):
     counts = count_calls(monkeypatch, [classify, traces], ["gap_product_tail"])
     extreme_trace_vector(fixture("car3"), 1, 5, 64)
     assert counts["gap_product_tail"] == 1
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_extreme_trace_count_makes_no_tail_call(monkeypatch, name):
+    counts = count_calls(monkeypatch, [classify], ["gap_product_tail"])
+    extreme_trace_count(fixture(name))
+    assert counts["gap_product_tail"] == 0
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 64])
+def test_extreme_trace_count_matches_the_report(cutoff):
+    rng = random.Random(cutoff)
+    counts = set()
+    for _ in range(300):
+        spec = random_spec(rng)
+        count = extreme_trace_count(spec, cutoff)
+        assert count == classification_report(spec, cutoff).extreme_trace_count
+        counts.add(count)
+    assert counts == ({1, 2, "unknown"} if cutoff == 1 else {1, 2})
+
+
+@pytest.mark.parametrize(
+    "query",
+    [extreme_trace_count, lambda spec, cutoff: extreme_trace_vector(spec, 1, 0, cutoff)],
+    ids=["extreme_trace_count", "extreme_trace_vector"],
+)
+def test_trace_count_error_order(query):
+    # a finite action is refused before the cutoff is looked at, and a bad
+    # cutoff before a unique trace is
+    finite = ActionSpec("finite", (RankPair(1, 0),), None)
+    with pytest.raises(FiniteActionError):
+        query(finite, 0)
+    with pytest.raises(ValueError, match="cutoff must be positive") as info:
+        query(fixture("car2"), 0)
+    assert not isinstance(info.value, UniqueTraceError)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_report_derives_the_rest_of_the_sheet(name):
+    spec = fixture(name)
+    r = classification_report(spec)
+    assert r.crossed_product_simple == crossed_product_simple_verdict(spec)
+    assert (r.crossed_product_uhf, r.crossed_product_supernatural) == crossed_product_uhf_verdict(spec)
+    assert r.extreme_trace_count == extreme_trace_count(spec)
+    assert list(r.verdicts()) == [
+        "strict_rokhlin",
+        "tracial_rokhlin",
+        "outer",
+        "crossed_product_simple",
+        "crossed_product_uhf",
+    ]

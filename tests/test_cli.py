@@ -406,3 +406,45 @@ def test_element_abbreviations_under_ktheory_only(capsys):
     rc, _, err = in_process(["traces", "car2", "--stage", "1", "--e", "-1,1@1"], capsys)
     assert rc == 2
     assert "argument --extreme: expected one argument" in err
+
+
+GSET = {
+    "elements": ["a", "b", "c", "d"],
+    "group": {"order": 2, "table": [[0, 1], [1, 0]]},
+    "action": [[0, 1, 2, 3], [1, 0, 3, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "gset,cover,message",
+    [
+        ({**GSET, "group": {"table": [0]}}, None, "'group.table' must be a list of rows"),
+        ({**GSET, "group": {"table": 0}}, None, "'group.table' must be a list of rows"),
+        ({**GSET, "action": [0]}, None, "'action' must be a list of rows"),
+        ({**GSET, "action": [[0, 1, 2, 3], None]}, None, "'action' must be a list of rows"),
+        (GSET, [[["a"]]], "cover entry 0 names unknown element ['a']"),
+        (GSET, [["a"], [{"x": 1}]], "cover entry 1 names unknown element {'x': 1}"),
+        (GSET, [["a"], [1]], "cover entry 1 names unknown element 1"),
+        (GSET, [["a"], ["z"]], "cover entry 1 names unknown element 'z'"),
+    ],
+    ids=[
+        "table-row-number",
+        "table-number",
+        "action-row-number",
+        "action-row-null",
+        "cover-name-list",
+        "cover-name-object",
+        "cover-name-number",
+        "cover-name-unknown",
+    ],
+)
+def test_malformed_cantor_documents_are_input_errors(gset, cover, message, tmp_path, capsys):
+    path = tmp_path / "gset.json"
+    path.write_text(json.dumps(gset))
+    argv = ["cantor", str(path)]
+    if cover is not None:
+        (tmp_path / "cover.json").write_text(json.dumps(cover))
+        argv += ["--cover", str(tmp_path / "cover.json")]
+    rc, out, err = in_process(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
