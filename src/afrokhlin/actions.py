@@ -11,17 +11,23 @@ document is parsed.
 
 Every fact about a tail family lives on its tail class, behind one protocol
 that both families provide: ``pair_at(j)`` (factor at tail position j),
-``first_zero_gap(j)`` (first zero gap at or after j), ``recurring_zero_gap``
-and ``recurring_nonzero_rank`` (witnesses for a recurring zero gap and a
-recurring nonzero smaller rank, or None), ``divergence()`` (why the sum of
-1 - gap diverges, or None), ``gap_limit()`` (the eventual gap bound),
-``recurring_primes()``, ``settle_depth()`` with ``remainder_bound(depth)``
-(the geometric certificate of a positive tail product), and ``kind``,
-``to_json`` and ``from_json`` (the document form).
+``factor_stream(j)`` (the integers ``(p - q, p + q)`` of the factors at tail
+positions j, j + 1, ...), ``first_zero_gap(j)`` (first zero gap at or after
+j), ``recurring_zero_gap`` and ``recurring_nonzero_rank`` (witnesses for a
+recurring zero gap and a recurring nonzero smaller rank, or None),
+``divergence()`` (why the sum of 1 - gap diverges, or None), ``gap_limit()``
+(the eventual gap bound), ``recurring_primes()``, ``settle_depth()`` with
+``remainder_bound(depth)`` (the geometric certificate of a positive tail
+product), and ``kind``, ``to_json`` and ``from_json`` (the document form).
 
 Factor indices are 1-based throughout.  Exchanging ``p`` and ``q`` in any
 factor does not change the symmetry it describes, so factors are normalized
 to ``p >= q`` on ingestion and all downstream code may rely on that.
+
+Every product over a run of factors reads ``ActionSpec.factor_stream(m)``,
+the integer pairs ``(p - q, p + q)`` of the factors m+1, m+2, ...: prefix
+and periodic factors come from a ring of such pairs, and an affine tail keeps
+a running power of B, so walking the factors builds no ``RankPair``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, islice
 from typing import ClassVar
 
 
@@ -99,6 +105,12 @@ class PeriodicTail:
     def pair_at(self, j: int) -> RankPair:
         """Factor at 1-based tail position j."""
         return self.pairs[(j - 1) % len(self.pairs)]
+
+    def factor_stream(self, j: int):
+        """(p - q, p + q) of the factors at tail positions j, j + 1, ..."""
+        ring = [(p.p - p.q, p.size) for p in self.pairs]
+        k = (j - 1) % len(ring)
+        return cycle(ring[k:] + ring[:k])
 
     def first_zero_gap(self, j: int) -> int | None:
         if not any(p.symmetric for p in self.pairs):
@@ -202,6 +214,15 @@ class AffinePowerTail:
     def pair_at(self, j: int) -> RankPair:
         p, q = self.raw_pair(j)
         return RankPair(p, q).normalized()
+
+    def factor_stream(self, j: int):
+        """(|p - q|, p + q) = (|c*P + 2*beta|, A*P) at tail positions j, j + 1,
+        ..., with P = B**j kept as a running power."""
+        c, twice_beta, A, B = self.alpha - self.gamma, 2 * self.beta, self.A, self.B
+        power = B**j
+        while True:
+            yield abs(c * power + twice_beta), A * power
+            power *= B
 
     def first_zero_gap(self, j: int) -> int | None:
         c = self.alpha - self.gamma
@@ -323,17 +344,35 @@ class ActionSpec:
             )
         return self.tail.pair_at(n - len(self.prefix))
 
+    def factor_stream(self, m: int):
+        """Yield (p - q, p + q) of the normalized factors m+1, m+2, ...
+
+        A finite action raises FactorRangeError, with the message of
+        ``factor``, when the stream is asked for the factor past its end."""
+        if m < 0:
+            raise FactorRangeError(f"factor index must be >= 1, got {m + 1}")
+        for f in self.prefix[m:]:
+            yield f.p - f.q, f.size
+        n0 = len(self.prefix)
+        if self.tail is None:
+            raise FactorRangeError(
+                f"factor {max(m, n0) + 1} requested but finite action {self.name!r} "
+                f"has only {n0} factors"
+            )
+        yield from self.tail.factor_stream(max(m - n0, 0) + 1)
+
     def partial_products(self, m: int):
         """Yield (n, diff, size) for n = m, m + 1, ...: the unreduced products
         of the rank differences p - q and of the matrix sizes p + q of factors
-        m+1 .. n.  Factors are fetched one at a time, as the walk advances."""
+        m+1 .. n.  Factors are read off ``factor_stream(m)`` as the walk
+        advances."""
         n, diff, size = m, 1, 1
-        while True:
-            yield n, diff, size
+        yield n, diff, size
+        for d, s in self.factor_stream(m):
             n += 1
-            f = self.factor(n)
-            diff *= f.p - f.q
-            size *= f.size
+            diff *= d
+            size *= s
+            yield n, diff, size
 
     def range_product(self, m: int, n: int) -> tuple[int, int]:
         """(diff, size) of ``partial_products(m)`` at n; empty ranges give (1, 1)."""

@@ -64,6 +64,10 @@ class FiniteGSet:
             raise InvalidGSet("group must have at least one element")
         if n < 1:
             raise InvalidGSet("the acted-on set must be nonempty")
+        if len(set(self.elements)) < n:
+            seen: set[str] = set()
+            name = next(e for e in self.elements if e in seen or seen.add(e))
+            raise InvalidGSet(f"element name {name!r} is repeated")
         if any(len(row) != k for row in table):
             raise InvalidGSet("multiplication table must be square")
         if not _entries_in_range(table, k):

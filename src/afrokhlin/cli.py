@@ -94,6 +94,17 @@ def _default_cutoff() -> int:
     return value
 
 
+def _load_json(path) -> object:
+    """The JSON document in the file at path.  A document nested too deeply
+    for the parser's recursion is an input error (ValueError), not a
+    RecursionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"JSON document {str(path)!r} is nested too deeply") from None
+
+
 def resolve_spec(arg: str) -> ActionSpec:
     if arg in FIXTURE_NAMES:
         return fixture(arg)
@@ -103,8 +114,7 @@ def resolve_spec(arg: str) -> ActionSpec:
             f"{arg!r} is neither a built-in fixture ({', '.join(FIXTURE_NAMES)}) "
             "nor an existing spec file"
         )
-    with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_json(json.load(fh))
+    return spec_from_json(_load_json(path))
 
 
 _ELEMENT_RE = re.compile(r"^(-?\d+),(-?\d+)@(\d+)$")
@@ -203,19 +213,20 @@ def cmd_condense(args, spec: ActionSpec) -> Result:
 
 
 def bratteli_dot(spec: ActionSpec, stages: int) -> str:
-    lines = ["digraph bratteli {", "  rankdir=TB;"]
-    for n, _, t in islice(spec.partial_products(0), 1, stages + 1):
-        size = str(t)  # decimal conversion is quadratic in the digits: once per stage
-        lines.append(f'  L{n} [label="{size}"];')
-        lines.append(f'  R{n} [label="{size}"];')
-    for n in range(2, stages + 1):
-        f = spec.factor(n)
-        lines.append(f'  L{n - 1} -> L{n} [label="{f.p}"];')
-        lines.append(f'  R{n - 1} -> R{n} [label="{f.p}"];')
-        lines.append(f'  L{n - 1} -> R{n} [label="{f.q}"];')
-        lines.append(f'  R{n - 1} -> L{n} [label="{f.q}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    nodes, edges = [], []
+    t = 1
+    for n, (diff, size) in enumerate(islice(spec.factor_stream(0), stages), 1):
+        t *= size
+        label = str(t)  # decimal conversion is quadratic in the digits: once per stage
+        nodes.append(f'  L{n} [label="{label}"];')
+        nodes.append(f'  R{n} [label="{label}"];')
+        if n > 1:
+            p, q = (size + diff) // 2, (size - diff) // 2
+            edges.append(f'  L{n - 1} -> L{n} [label="{p}"];')
+            edges.append(f'  R{n - 1} -> R{n} [label="{p}"];')
+            edges.append(f'  L{n - 1} -> R{n} [label="{q}"];')
+            edges.append(f'  R{n - 1} -> L{n} [label="{q}"];')
+    return "\n".join(["digraph bratteli {", "  rankdir=TB;", *nodes, *edges, "}"])
 
 
 def cmd_bratteli(args, spec: ActionSpec) -> Result:
@@ -286,11 +297,9 @@ def cmd_torsion(args, spec: ActionSpec | None) -> Result:
 
 
 def cmd_cantor(args, spec: ActionSpec | None) -> Result:
-    with open(args.gset, "r", encoding="utf-8") as fh:
-        gs = gset_from_json(json.load(fh))
+    gs = gset_from_json(_load_json(args.gset))
     if args.cover:
-        with open(args.cover, "r", encoding="utf-8") as fh:
-            cover = cover_from_json(json.load(fh), gs)
+        cover = cover_from_json(_load_json(args.cover), gs)
     else:
         cover = default_cover(gs)
     tower = greedy_tower(gs, cover)

@@ -259,7 +259,8 @@ def _identity(n: int) -> Matrix:
 
 def mat_mul(a, b) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(r) == inner for r in a) or not a
+    if any(len(r) != inner for r in a):
+        raise ValueError(f"mat_mul needs every row of the left factor to have {inner} entries")
     return [
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)

@@ -16,19 +16,22 @@ upper end up) at a working precision derived from r alone.  Factors are
 multiplied exactly, with unreduced integer numerator and denominator, while
 that denominator fits the precision, so a short product comes back exact.
 
-Every finite product is read off the factor walk
-`ActionSpec.partial_products`, the unreduced products of p - q and p + q
-over a range: `gap_product` reduces one quotient of it, `condense` turns it
-into a factor, and the exact phase of the tail enclosures follows it until
-the denominator outgrows the precision.  Finite products and condensations
-are exact.  No floating point enters any result; see `afrokhlin.intervals`.
+Every product reads the integer factor stream `ActionSpec.factor_stream`,
+the pairs (p - q, p + q) of the factors after a range start.  Finite
+products come from its walk `ActionSpec.partial_products`, the unreduced
+products of p - q and p + q over a range: `gap_product` reduces one quotient
+of it and `condense` turns it into a factor.  The tail enclosures read one
+stream for both phases: the exact phase multiplies it until the denominator
+outgrows the precision, and the rounded phase goes on from the next factor.
+Finite products and condensations are exact.  No floating point enters any
+result; see `afrokhlin.intervals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from .actions import ActionSpec, FiniteActionError, RankPair
 
@@ -180,22 +183,24 @@ def _enclose_gap_product(
 ) -> tuple[Fraction, Fraction]:
     """Outward-rounded enclosure lo <= gap_product(spec, m, n) <= hi.
 
-    Factors multiply exactly, with unreduced integer numerator and
-    denominator and no gcd, while the denominator fits in ``prec`` bits, so a
-    product that never outgrows the precision comes back exact (lo == hi).
-    From then on both ends are integer mantissas of about ``prec`` bits over a
-    common power of two, lo floored and hi ceiled at every factor.
+    Factors of ``spec.factor_stream(m)`` multiply exactly, with unreduced
+    integer numerator and denominator and no gcd, while the denominator fits
+    in ``prec`` bits, so a product that never outgrows the precision comes
+    back exact (lo == hi).  From then on, reading on in the same stream, both
+    ends are integer mantissas of about ``prec`` bits over a common power of
+    two, lo floored and hi ceiled at every factor.
     """
-    for k, num, den in spec.partial_products(m):
-        if den.bit_length() > prec:
-            break
+    stream = spec.factor_stream(m)
+    k, num, den = m, 1, 1
+    while den.bit_length() <= prec:
         if k == n:
             exact = Fraction(num, den)
             return exact, exact
-    factors = ((f.p - f.q, f.size) for f in map(spec.factor, range(k + 1, n + 1)))
+        a, b = next(stream)
+        k, num, den = k + 1, num * a, den * b
     lo = hi = 1
     scale = 0  # the mantissas stand for lo / 2**scale and hi / 2**scale
-    for a, b in chain([(num, den)], factors):
+    for a, b in chain([(num, den)], islice(stream, n - k)):
         # choose the shift that leaves about prec bits in the quotient;
         # floor(-x / d) = -ceil(x / d) rounds hi up
         shift = prec + b.bit_length() - (hi * a).bit_length()

@@ -165,6 +165,9 @@ def reference_gset_error(elements, table, action) -> str | None:
         return "group must have at least one element"
     if n < 1:
         return "the acted-on set must be nonempty"
+    for i, name in enumerate(elements):
+        if name in elements[:i]:
+            return f"element name {name!r} is repeated"
     if any(len(row) != k for row in table):
         return "multiplication table must be square"
     if any(not (0 <= v < k) for row in table for v in row):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from afrokhlin import (
 )
 from afrokhlin.actions import _factorize, _is_prime
 from oracles import scanned_tail_facts
-from specgen import random_spec
+from specgen import random_factor_list, random_spec
 
 INF = math.inf
 
@@ -326,3 +327,31 @@ def test_partial_products_walk_is_lazy_and_unreduced():
             spec.range_product(m, n)
     with pytest.raises(FactorRangeError):
         spec.range_product(2, 4)
+
+
+def test_factor_stream_matches_factor():
+    # both tail families, starts inside and past the prefix, deep affine powers
+    rng = random.Random(1111)
+    for _ in range(400):
+        spec = random_spec(rng)
+        m = rng.randint(0, len(spec.prefix) + 60)
+        want = [(f.p - f.q, f.size) for f in map(spec.factor, range(m + 1, m + 31))]
+        assert list(islice(spec.factor_stream(m), 30)) == want, (spec, m)
+
+
+def test_factor_stream_of_a_finite_action_raises_at_its_end():
+    rng = random.Random(1112)
+    for _ in range(200):
+        spec = ActionSpec("fin", tuple(random_factor_list(rng)), None)
+        n0 = len(spec.prefix)
+        m = rng.randint(-2, n0 + 2)
+        stream = spec.factor_stream(m)
+        end = m + 1 if m < 0 else max(m, n0) + 1
+        for n in range(m + 1, end):
+            f = spec.factor(n)
+            assert next(stream) == (f.p - f.q, f.size)
+        with pytest.raises(FactorRangeError) as want:
+            spec.factor(end)
+        with pytest.raises(FactorRangeError) as got:
+            next(stream)
+        assert str(got.value) == str(want.value)

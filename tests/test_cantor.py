@@ -171,6 +171,20 @@ def test_gset_from_json():
         gset_from_json({"elements": ["a"]})
 
 
+def test_repeated_element_names_are_rejected():
+    # the free Z/2 action 0 <-> 1, 2 <-> 3 is valid, but "a" names two points
+    with pytest.raises(InvalidGSet, match="element name 'a' is repeated"):
+        gset_from_json(
+            {
+                "elements": ["a", "a", "b", "b"],
+                "group": {"table": [[0, 1], [1, 0]]},
+                "action": [[0, 1, 2, 3], [1, 0, 3, 2]],
+            }
+        )
+    with pytest.raises(InvalidGSet, match="element name 'b' is repeated"):
+        FiniteGSet(("a", "b", "c", "b"), GROUP_Z2, ((0, 1, 2, 3), (1, 0, 3, 2)))
+
+
 def test_subgroup_enumeration():
     assert len(subgroups(GROUP_Z2)) == 2
     assert len(subgroups(GROUP_Z3)) == 2

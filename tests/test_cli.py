@@ -229,31 +229,36 @@ def test_quiet_suppresses_text():
 
 
 @pytest.fixture
-def factor_calls(monkeypatch):
-    """The indices passed to ActionSpec.factor while the test runs."""
-    calls = []
-    real = ActionSpec.factor
+def stream_items(monkeypatch):
+    """The factors drawn from ActionSpec.factor_stream while the test runs."""
+    drawn = []
+    real = ActionSpec.factor_stream
 
-    def counted(self, n):
-        calls.append(n)
-        return real(self, n)
+    def counted(self, m):
+        for item in real(self, m):
+            drawn.append(item)
+            yield item
 
-    monkeypatch.setattr(ActionSpec, "factor", counted)
-    return calls
+    monkeypatch.setattr(ActionSpec, "factor_stream", counted)
+    return drawn
 
 
-def test_bratteli_walks_the_stages_once(factor_calls):
+def test_bratteli_walks_the_stages_once(stream_items):
     dot = bratteli_dot(fixture("car2"), 60)
-    assert len(factor_calls) <= 2 * 60
+    assert len(stream_items) == 60
     car2, t = fixture("car2"), 1
     for n in range(1, 61):
-        t *= car2.factor(n).size
+        f = car2.factor(n)
+        t *= f.size
         assert f'  L{n} [label="{t}"];' in dot
+        if n > 1:
+            assert f'  L{n - 1} -> L{n} [label="{f.p}"];' in dot
+            assert f'  R{n - 1} -> L{n} [label="{f.q}"];' in dot
 
 
-def test_condense_multiplies_each_factor_once(factor_calls, capsys):
+def test_condense_multiplies_each_factor_once(stream_items, capsys):
     assert main(["condense", "car3", "--range", "0..40", "--json"]) == 0
-    assert len(factor_calls) == 40
+    assert len(stream_items) == 40
     doc = json.loads(capsys.readouterr().out)["condense"]
     assert doc["gap"] == doc["gap_product_check"] == "0"
 
@@ -426,6 +431,7 @@ GSET = {
         (GSET, [["a"], [{"x": 1}]], "cover entry 1 names unknown element {'x': 1}"),
         (GSET, [["a"], [1]], "cover entry 1 names unknown element 1"),
         (GSET, [["a"], ["z"]], "cover entry 1 names unknown element 'z'"),
+        ({**GSET, "elements": ["a", "a", "b", "b"]}, None, "element name 'a' is repeated"),
     ],
     ids=[
         "table-row-number",
@@ -436,6 +442,7 @@ GSET = {
         "cover-name-object",
         "cover-name-number",
         "cover-name-unknown",
+        "repeated-element-name",
     ],
 )
 def test_malformed_cantor_documents_are_input_errors(gset, cover, message, tmp_path, capsys):
@@ -448,3 +455,18 @@ def test_malformed_cantor_documents_are_input_errors(gset, cover, message, tmp_p
     rc, out, err = in_process(argv, capsys)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_deeply_nested_documents_are_input_errors(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    gset = tmp_path / "gset.json"
+    gset.write_text(json.dumps(GSET))
+    for argv in (
+        ["classify", str(deep)],
+        ["cantor", str(deep)],
+        ["cantor", str(gset), "--cover", str(deep)],
+    ):
+        rc, out, err = in_process(argv, capsys)
+        assert (rc, out) == (2, ""), argv
+        assert err == f"error: JSON document {str(deep)!r} is nested too deeply\n"

@@ -531,3 +531,11 @@ def test_is_positive_exits(spec, el, cutoff, decision, witness):
     verdict = is_positive(spec, el, cutoff)
     assert verdict.decision == decision
     assert list(verdict.witness.items()) == list(witness.items())
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    assert mat_mul([[1, 2], [3, 4]], [[1], [1]]) == [[3], [7]]
+    assert mat_mul([], [[1]]) == []
+    for a, b in (([[1, 2]], [[1, 2]]), ([[1], [1, 2]], [[1], [1]])):
+        with pytest.raises(ValueError, match="every row of the left factor"):
+            mat_mul(a, b)

@@ -6,6 +6,7 @@ import pytest
 from afrokhlin import (
     ActionSpec,
     AffinePowerTail,
+    K0Element,
     PeriodicTail,
     RankPair,
     TailPositive,
@@ -17,6 +18,7 @@ from afrokhlin import (
     gap,
     gap_product,
     gap_product_tail,
+    is_positive,
 )
 from afrokhlin.intervals import round_down, round_up
 from afrokhlin.products import _enclose_gap_product, first_zero_gap_after
@@ -287,3 +289,29 @@ def test_enclosure_rounds_when_the_last_factor_outgrows_the_precision():
     lo, hi = _enclose_gap_product(spec, 0, 41, 64)
     assert lo < Fraction(1, 3**41) < hi
     assert max(lo.denominator, hi.denominator).bit_length() > 64
+
+
+def test_tail_walk_reads_integers_only(monkeypatch):
+    # the tail enclosures and the positivity scan read the integer factor
+    # stream: no ActionSpec.factor call and no RankPair per factor
+    car3 = fixture("car3")
+    t256, t512 = gap_product_tail(car3, 1, 256), gap_product_tail(car3, 1, 512)
+    ratio = (t256.lower + t512.lower) / 2  # separates only at cutoff 512
+    el = K0Element(1, ratio.numerator + ratio.denominator, ratio.numerator - ratio.denominator)
+    counts = {"factor": 0, "RankPair": 0}
+    real_factor, real_init = ActionSpec.factor, RankPair.__post_init__
+
+    def factor(self, n):
+        counts["factor"] += 1
+        return real_factor(self, n)
+
+    def post_init(self):
+        counts["RankPair"] += 1
+        real_init(self)
+
+    monkeypatch.setattr(ActionSpec, "factor", factor)
+    monkeypatch.setattr(RankPair, "__post_init__", post_init)
+    assert gap_product_tail(car3, 1, 512) == t512
+    v = is_positive(car3, el, 8)
+    assert v.is_no and v.witness["kind"] == "tail_threshold_exceeded"
+    assert counts == {"factor": 0, "RankPair": 0}
