@@ -7,19 +7,32 @@ greedy recursion below builds one from any cover by sets with pairwise
 disjoint translates.  Cover order matters and is preserved, so outputs are
 reproducible.
 
-Costs, for a group of order k acting on n points: validation is
-O(k² log k + k·n log k), because the axioms are checked only against a
-generating set of at most log2 k elements (Light's associativity test,
-Clifford & Preston, The Algebraic Theory of Semigroups I, §1.2); a tower is
-one pass over the cover that marks the orbits of the base as it grows,
-O(k·n) for the singleton cover.
+Towers rest on two facts about a group G of order k acting on n points,
+where every point x is labelled with the least point of its orbit Gx:
+- The action is free exactly when (number of orbits)·k == n.  Each orbit
+  has |G|/|Stab(x)| ≤ k points, with equality exactly when the stabilizer
+  is trivial, and the orbits partition the set.
+- For a free action, the translates gK of a cover set K are pairwise
+  disjoint exactly when no two points of K share an orbit: g·x == h·y puts
+  x and y in one orbit, and for x == y freeness forces g == h.
+So the greedy base is the first cover point of each orbit, and it covers
+exactly when it has n/k points.
+
+Costs: validation is O(k² log k + k·n log k), because the axioms are
+checked only against a generating set of at most log2 k elements (Light's
+associativity test, Clifford & Preston, The Algebraic Theory of
+Semigroups I, §1.2).  The orbit labels are one C-level O(k·n) pass, shared
+by the freeness test, the default cover and the tower; only a non-free
+action pays for the row scan that names its first fixed point.  A tower
+is then Python work in O(n + Σ|K|) over the cover sets K, in place of
+building all k translates of every cover set, O(k·Σ|K|).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter
 
 
@@ -128,12 +141,20 @@ class FiniteGSet:
         return len(self.elements)
 
     def translate(self, g: int, subset: frozenset[int]) -> frozenset[int]:
-        return frozenset(self.action[g][x] for x in subset)
+        return frozenset(map(self.action[g].__getitem__, subset))
+
+    @cached_property
+    def orbit_min(self) -> list[int]:
+        """orbit_min[x] is the least point of the orbit of x, {g.x : g in G}.
+        Computed once per G-set."""
+        return list(map(min, zip(*self.action)))
 
     @cached_property
     def fixed_point(self) -> tuple[int, int] | None:
         """The first (g, x), in row order, with g not the identity and
         g.x == x; None for a free action.  Computed once per G-set."""
+        if len(set(self.orbit_min)) * self.order == self.size:
+            return None
         for g, row in enumerate(self.action):
             if g == self.identity:
                 continue
@@ -213,7 +234,7 @@ def default_cover(gs: FiniteGSet) -> list[frozenset[int]]:
     union of their orbits is everything, so this is always a valid cover.
     """
     _require_free(gs)
-    return [frozenset({x}) for x in range(gs.size)]
+    return list(map(frozenset, zip(range(gs.size))))
 
 
 def _fixed_point_message(gs: FiniteGSet, g: int, x: int) -> str:
@@ -232,30 +253,25 @@ def greedy_tower(gs: FiniteGSet, cover) -> Tower:
     the cover does.  Cover points are indices in range(gs.size).
     """
     _require_free(gs)
-    cover = [frozenset(k) for k in cover]
+    cover = list(map(frozenset, cover))
     indices = list(chain.from_iterable(cover))
     if indices and not _entries_in_range([indices], gs.size):
         idx = next(i for i, k in enumerate(cover) if k and not _entries_in_range([k], gs.size))
         raise InvalidCover(f"cover set {idx} has a point not in range({gs.size})", idx)
-    # marked: the orbits of the base so far, which later sets must avoid
-    marked = bytearray(gs.size)
-    base: set[int] = set()
-    for idx, k in enumerate(cover):
-        points = [row[x] for row in gs.action for x in k]
-        if len(set(points)) != len(points):
-            raise InvalidCover(
-                f"cover set {idx} has colliding translates", index=idx
-            )
-        fresh = [x for x in k if not marked[x]]
-        base.update(fresh)
-        for row in gs.action:
-            for x in fresh:
-                marked[row[x]] = 1
-    if not all(marked):
+    orbit_of = gs.orbit_min.__getitem__
+    ids = list(map(orbit_of, indices))
+    # the action is free, so the translates of a cover set are pairwise
+    # disjoint exactly when its points lie in distinct orbits
+    if max(map(len, cover), default=0) > 1:
+        owners = chain.from_iterable(map(repeat, range(len(cover)), map(len, cover)))
+        if len(set(zip(owners, ids))) < len(ids):
+            idx = next(i for i, k in enumerate(cover) if len(set(map(orbit_of, k))) < len(k))
+            raise InvalidCover(f"cover set {idx} has colliding translates", index=idx)
+    # the first cover point of each orbit: reversed, so that earlier points win
+    base = frozenset(dict(zip(reversed(ids), reversed(indices))).values())
+    if len(base) * gs.order != gs.size:
         raise InvalidCover("cover union insufficient: orbits of the cover miss the set")
-    base = frozenset(base)
-    translates = tuple(gs.translate(g, base) for g in range(gs.order))
-    return Tower(base=base, translates=translates)
+    return Tower(base=base, translates=tuple(map(gs.translate, range(gs.order), repeat(base))))
 
 
 def verify_tower(gs: FiniteGSet, tower: Tower) -> bool:
@@ -283,7 +299,7 @@ def gset_from_json(obj) -> FiniteGSet:
     if not isinstance(obj, dict):
         raise InvalidGSet("G-set document must be a JSON object")
     elements = obj.get("elements")
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
+    if not isinstance(elements, list) or not all(map(isinstance, elements, repeat(str))):
         raise InvalidGSet("'elements' must be a list of strings")
     group = obj.get("group")
     if not isinstance(group, dict) or "table" not in group:
@@ -311,16 +327,16 @@ def _rows(rows: list, message: str) -> tuple[tuple, ...]:
 def cover_from_json(obj, gs: FiniteGSet) -> list[frozenset[int]]:
     if not isinstance(obj, list):
         raise InvalidCover("cover document must be a list of element-name lists")
-    index = {name: i for i, name in enumerate(gs.elements)}
+    index = dict(zip(gs.elements, range(gs.size)))
     cover = []
     for i, entry in enumerate(obj):
         if not isinstance(entry, list):
             raise InvalidCover(f"cover entry {i} must be a list of element names", i)
-        for name in entry:
-            # element names are strings, so no other name is known
-            if not isinstance(name, str) or name not in index:
-                raise InvalidCover(f"cover entry {i} names unknown element {name!r}", i)
-        cover.append(frozenset(index[name] for name in entry))
+        # element names are strings, so no other name is known
+        if not (all(map(isinstance, entry, repeat(str))) and all(map(index.__contains__, entry))):
+            name = next(n for n in entry if not isinstance(n, str) or n not in index)
+            raise InvalidCover(f"cover entry {i} names unknown element {name!r}", i)
+        cover.append(frozenset(map(index.__getitem__, entry)))
     return cover
 
 

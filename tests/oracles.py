@@ -8,8 +8,8 @@ products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace,
 the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
-axioms, and greedy towers by recomputing the saturation of the base at every
-step.
+axioms, and greedy towers by scanning every row for a fixed point and
+recomputing the saturation of the base at every step.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from afrokhlin.cantor import (
     InvalidCover,
     NotFreeError,
     Tower,
-    _fixed_point_message,
-    is_free,
 )
 from afrokhlin.products import first_zero_gap_after
 
@@ -203,14 +201,30 @@ def reference_gset_error(elements, table, action) -> str | None:
     return None
 
 
+def reference_fixed_point(gs: FiniteGSet) -> tuple[int, int] | None:
+    """The first (g, x) in row order with g.x == x and g not the identity of
+    the table, by testing every entry; None for a free action."""
+    identity = next(
+        e for e in range(gs.order) if all(gs.table[e][h] == h for h in range(gs.order))
+    )
+    for g in range(gs.order):
+        for x in range(gs.size):
+            if g != identity and gs.action[g][x] == x:
+                return g, x
+    return None
+
+
 def reference_greedy_tower(gs: FiniteGSet, cover) -> Tower:
-    """greedy_tower with every translate built as a set: all collisions are
-    checked first, then the union, then each cover set adds the points
-    outside the saturation of the base so far, recomputed from scratch."""
-    free, witness = is_free(gs)
-    if not free:
+    """greedy_tower with every translate built as a set: freeness by a scan
+    of every row for a fixed point, then all collisions, then the union, then
+    each cover set adds the points outside the saturation of the base so far,
+    recomputed from scratch."""
+    witness = reference_fixed_point(gs)
+    if witness is not None:
         g, x = witness
-        raise NotFreeError(g, x, _fixed_point_message(gs, g, x))
+        raise NotFreeError(
+            g, x, f"action is not free: group element {g} fixes {gs.elements[x]!r} (index {x})"
+        )
     cover = [frozenset(k) for k in cover]
     for idx, k in enumerate(cover):
         translates = [gs.translate(g, k) for g in range(gs.order)]

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from itertools import compress, permutations, product
 
@@ -12,6 +13,7 @@ from afrokhlin.cantor import (
     InvalidGSet,
     NotFreeError,
     Tower,
+    cover_from_json,
     default_cover,
     greedy_tower,
     gset_from_json,
@@ -31,7 +33,12 @@ from gsets import (
     relabel_group,
     subgroups,
 )
-from oracles import reference_gset_error, reference_greedy_tower, tower_base_exists
+from oracles import (
+    reference_fixed_point,
+    reference_gset_error,
+    reference_greedy_tower,
+    tower_base_exists,
+)
 
 
 def two_point_swap():
@@ -102,26 +109,66 @@ def test_greedy_tower_rejects_point_indices_out_of_range(cover, bad):
 
 
 def test_default_cover_tower_scans_for_fixed_points_once(monkeypatch):
-    # one scan visits each non-identity row once; default_cover, greedy_tower
-    # and is_free share it
-    scanned = []
+    # the orbit map is computed once per G-set and shared by is_free,
+    # default_cover and greedy_tower; the row scan runs only for a non-free
+    # action, once, and all three report its witness
+    orbit_maps, row_scans = [], []
+    orbit_min = FiniteGSet.__dict__["orbit_min"]
+    compute = orbit_min.func
 
-    def counted(data, selectors):
-        scanned.append(1)
+    def counted_orbit_map(gs):
+        orbit_maps.append(gs)
+        return compute(gs)
+
+    def counted_scan(data, selectors):
+        row_scans.append(1)
         return compress(data, selectors)
 
-    monkeypatch.setattr(cantor, "compress", counted)
+    monkeypatch.setattr(orbit_min, "func", counted_orbit_map)
+    monkeypatch.setattr(cantor, "compress", counted_scan)
     gs = FiniteGSet(("a", "b", "c"), GROUP_Z3, GROUP_Z3)
     assert verify_tower(gs, greedy_tower(gs, default_cover(gs)))
+    assert greedy_tower(gs, [frozenset({1})]).base == frozenset({1})
     assert is_free(gs) == (True, None)
-    assert len(scanned) == 2
-    # a fixed point found once is reported by both, with the same witness
+    assert orbit_maps == [gs] and row_scans == []
     bad = swap_with_fixed_point()
+    assert is_free(bad) == (False, (1, 2))
     for build in (default_cover, lambda g: greedy_tower(g, [frozenset({0})])):
         with pytest.raises(NotFreeError) as err:
             build(bad)
         assert err.value.witness == (1, 2)
-    assert len(scanned) == 3
+    assert orbit_maps == [gs, bad] and len(row_scans) == 1
+
+
+def _package_calls(fn):
+    """fn() and the number of afrokhlin frames started while it ran; frames
+    of other code, such as a test plugin's garbage-collection callback, are
+    not counted."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("afrokhlin."):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+@pytest.mark.parametrize("table, orbits", [(GROUP_Z2, 2000), (cyclic_group(128), 2)])
+def test_tower_work_does_not_grow_with_the_set(table, orbits):
+    """Building and verifying the default tower starts a constant number of
+    package frames plus two translates per group element, however many points
+    and cover sets there are: a free Z/2 action on 4,000 points and an
+    order-128 group on 256 points."""
+    gs = build_gset(table, [frozenset({0})] * orbits)
+    verified, calls = _package_calls(lambda: verify_tower(gs, greedy_tower(gs, default_cover(gs))))
+    assert verified
+    assert calls <= 2 * gs.order + 32, calls
 
 
 def test_greedy_tower_rejects_non_free():
@@ -169,6 +216,23 @@ def test_gset_from_json():
     assert is_free(gs) == (True, None)
     with pytest.raises(InvalidGSet):
         gset_from_json({"elements": ["a"]})
+
+
+class Name(str):
+    pass
+
+
+def test_name_checks_keep_str_subclasses_and_report_the_first_bad_name():
+    doc = {"elements": [Name("a"), "b"], "group": {"table": [[0, 1], [1, 0]]}, "action": [[0, 1], [1, 0]]}
+    gs = gset_from_json(doc)
+    assert cover_from_json([[Name("b")], []], gs) == [frozenset({1}), frozenset()]
+    for entry, bad in ((["a", "z", 1], "'z'"), (["a", 1, "z"], "1"), (["b", None], "None")):
+        with pytest.raises(InvalidCover, match=f"^cover entry 1 names unknown element {bad}$"):
+            cover_from_json([["a"], entry], gs)
+    with pytest.raises(InvalidCover, match="cover entry 0 must be a list"):
+        cover_from_json([("a",), [1]], gs)
+    with pytest.raises(InvalidGSet, match="'elements' must be a list of strings"):
+        gset_from_json({**doc, "elements": ["a", 1, {}]})
 
 
 def test_repeated_element_names_are_rejected():
@@ -231,6 +295,69 @@ SMALL_GROUPS = (
         for a, b in ((2, 2), (2, 3), (2, 4), (3, 3), (2, 6))
     ]
 )
+
+
+def _relabel_gset(gs: FiniteGSet, pi) -> FiniteGSet:
+    """The same G-set with group element g renamed pi[g]."""
+    action = [None] * gs.order
+    for g, row in enumerate(gs.action):
+        action[pi[g]] = row
+    return FiniteGSet(gs.elements, relabel(gs.table, pi), tuple(action))
+
+
+def _edge_gsets():
+    trivial = cyclic_group(1)
+    for orbits in orbit_multisets(trivial, 5):
+        yield build_gset(trivial, orbits)  # k = 1: zip(*action) has one row
+    for table in SMALL_GROUPS:
+        yield build_gset(table, [frozenset({0})], random.Random(len(table)))  # n = k
+    rng = random.Random(12)
+    for _, table in GROUPS:
+        k = len(table)
+        for orbits in orbit_multisets(table, 8):
+            gs = build_gset(table, orbits, rng)
+            for shift in (1, -1):  # the identity becomes element 1, then k - 1
+                yield _relabel_gset(gs, [(g + shift) % k for g in range(k)])
+    for m in (0, 1, 5):
+        # pairs swapped, and the last point fixed by the last row alone
+        n = 2 * m + 1
+        swap = tuple(x ^ 1 for x in range(n - 1)) + (n - 1,)
+        yield FiniteGSet(tuple(f"x{i}" for i in range(n)), GROUP_Z2, (tuple(range(n)), swap))
+
+
+def test_edge_gsets_match_brute_force():
+    """The trivial group, a single orbit, an identity that is not element 0
+    and a lone fixed point at the last entry: freeness, the default cover and
+    greedy towers over covers with an empty, a repeated or an oversized set
+    agree with the exhaustive base search and the reference tower."""
+    seen = Counter()
+    for gs in _edge_gsets():
+        witness = reference_fixed_point(gs)
+        assert is_free(gs) == (witness is None, witness)
+        assert tower_base_exists(gs) == (witness is None)
+        singletons = [frozenset({x}) for x in range(gs.size)]
+        if witness is None:
+            assert default_cover(gs) == singletons
+        else:
+            with pytest.raises(NotFreeError) as err:
+                default_cover(gs)
+            assert err.value.witness == witness
+        covers = (
+            singletons,
+            [frozenset()] + singletons,
+            singletons[::-1] + singletons,
+            [singletons[-1]] * 2 + singletons[:-1],
+            [frozenset(range(gs.size))],
+            [frozenset()],
+            [],
+        )
+        for cover in covers:
+            got = _outcome(greedy_tower, gs, cover)
+            assert got == _outcome(reference_greedy_tower, gs, cover), (gs, cover)
+            if got[0] == "tower":
+                assert verify_tower(gs, Tower(*got[1:]))
+            seen[got[0] if got[0] != "InvalidCover" else got[1][:20]] += 1
+    assert set(seen) == {"tower", "NotFreeError", "cover set 0 has coll", "cover union insuffic"}, seen
 
 
 def _random_gset(rng: random.Random, table, free: bool) -> FiniteGSet:
