@@ -11,9 +11,9 @@ document is parsed.
 
 Every fact about a tail family lives on its tail class, behind one protocol
 that both families provide: ``pair_at(j)`` (factor at tail position j),
-``factor_stream(j)`` (the integers ``(p - q, p + q)`` of the factors at tail
-positions j, j + 1, ...), ``first_zero_gap(j)`` (first zero gap at or after
-j), ``recurring_zero_gap`` and ``recurring_nonzero_rank`` (witnesses for a
+``split_stream(j)`` (the factors at tail positions j, j + 1, ... in split
+form), ``first_zero_gap(j)`` (first zero gap at or after j),
+``recurring_zero_gap`` and ``recurring_nonzero_rank`` (witnesses for a
 recurring zero gap and a recurring nonzero smaller rank, or None),
 ``divergence()`` (why the sum of 1 - gap diverges, or None), ``gap_limit()``
 (the eventual gap bound), ``recurring_primes()``, ``settle_depth()`` with
@@ -24,10 +24,12 @@ Factor indices are 1-based throughout.  Exchanging ``p`` and ``q`` in any
 factor does not change the symmetry it describes, so factors are normalized
 to ``p >= q`` on ingestion and all downstream code may rely on that.
 
-Every product over a run of factors reads ``ActionSpec.factor_stream(m)``,
-the integer pairs ``(p - q, p + q)`` of the factors m+1, m+2, ...: prefix
-and periodic factors come from a ring of such pairs, and an affine tail keeps
-a running power of B, so walking the factors builds no ``RankPair``.
+Every product over a run of factors reads ``ActionSpec.split_stream(m)``,
+the factors m+1, m+2, ... as integers (x, y, A, P) with p - q = x*P + y and
+p + q = A*P: P = 1 and y = 0 for prefix and periodic factors, and for an
+affine tail a running power P = B**j with x = s*c, y = s*2*beta, s the sign
+of c*P + 2*beta.  It builds no ``RankPair``, and ``factor_stream`` is its
+view ``(p - q, p + q)``.
 """
 
 from __future__ import annotations
@@ -106,9 +108,9 @@ class PeriodicTail:
         """Factor at 1-based tail position j."""
         return self.pairs[(j - 1) % len(self.pairs)]
 
-    def factor_stream(self, j: int):
-        """(p - q, p + q) of the factors at tail positions j, j + 1, ..."""
-        ring = [(p.p - p.q, p.size) for p in self.pairs]
+    def split_stream(self, j: int):
+        """Split form (p - q, 0, p + q, 1) of the factors at positions j, j + 1, ..."""
+        ring = [(p.p - p.q, 0, p.size, 1) for p in self.pairs]
         k = (j - 1) % len(ring)
         return cycle(ring[k:] + ring[:k])
 
@@ -215,13 +217,14 @@ class AffinePowerTail:
         p, q = self.raw_pair(j)
         return RankPair(p, q).normalized()
 
-    def factor_stream(self, j: int):
-        """(|p - q|, p + q) = (|c*P + 2*beta|, A*P) at tail positions j, j + 1,
-        ..., with P = B**j kept as a running power."""
+    def split_stream(self, j: int):
+        """Split form (s*c, s*2*beta, A, P) at tail positions j, j + 1, ...,
+        with P = B**j and s = +-1 the sign of c*P + 2*beta."""
         c, twice_beta, A, B = self.alpha - self.gamma, 2 * self.beta, self.A, self.B
         power = B**j
         while True:
-            yield abs(c * power + twice_beta), A * power
+            flip = c * power < -twice_beta
+            yield (-c, -twice_beta, A, power) if flip else (c, twice_beta, A, power)
             power *= B
 
     def first_zero_gap(self, j: int) -> int | None:
@@ -344,22 +347,27 @@ class ActionSpec:
             )
         return self.tail.pair_at(n - len(self.prefix))
 
-    def factor_stream(self, m: int):
-        """Yield (p - q, p + q) of the normalized factors m+1, m+2, ...
+    def split_stream(self, m: int):
+        """Yield the split form (x, y, A, P) of the normalized factors m+1,
+        m+2, ...: p - q = x*P + y and p + q = A*P.
 
         A finite action raises FactorRangeError, with the message of
         ``factor``, when the stream is asked for the factor past its end."""
         if m < 0:
             raise FactorRangeError(f"factor index must be >= 1, got {m + 1}")
         for f in self.prefix[m:]:
-            yield f.p - f.q, f.size
+            yield f.p - f.q, 0, f.size, 1
         n0 = len(self.prefix)
         if self.tail is None:
             raise FactorRangeError(
                 f"factor {max(m, n0) + 1} requested but finite action {self.name!r} "
                 f"has only {n0} factors"
             )
-        yield from self.tail.factor_stream(max(m - n0, 0) + 1)
+        yield from self.tail.split_stream(max(m - n0, 0) + 1)
+
+    def factor_stream(self, m: int):
+        """Yield (p - q, p + q) of the normalized factors m+1, m+2, ..."""
+        return ((x * P + y, A * P) for x, y, A, P in self.split_stream(m))
 
     def partial_products(self, m: int):
         """Yield (n, diff, size) for n = m, m + 1, ...: the unreduced products

@@ -16,13 +16,16 @@ upper end up) at a working precision derived from r alone.  Factors are
 multiplied exactly, with unreduced integer numerator and denominator, while
 that denominator fits the precision, so a short product comes back exact.
 
-Every product reads the integer factor stream `ActionSpec.factor_stream`,
-the pairs (p - q, p + q) of the factors after a range start.  Finite
-products come from its walk `ActionSpec.partial_products`, the unreduced
-products of p - q and p + q over a range: `gap_product` reduces one quotient
-of it and `condense` turns it into a factor.  The tail enclosures read one
-stream for both phases: the exact phase multiplies it until the denominator
-outgrows the precision, and the rounded phase goes on from the next factor.
+Every product reads the factors after a range start from one stream,
+`ActionSpec.split_stream`, in split form: p - q = x*P + y and p + q = A*P,
+with P = B**j for an affine tail factor and P = 1, y = 0 otherwise.  Finite
+products come from `ActionSpec.partial_products`, a walk over its view
+`factor_stream` (pairs p - q, p + q), which `gap_product` and `condense` read.
+The tail enclosures multiply the split stream exactly until the denominator
+outgrows the precision, then round, taking a mantissa V to
+floor((V*x + floor(V*y / P)) / A) = floor(V*(x*P + y) / (A*P)), because
+floor(z / A) = floor(floor(z) / A).  No operand has the bits of P: a rounded
+step costs O(prec) when P is a power of two and one division by P otherwise.
 Finite products and condensations are exact.  No floating point enters any
 result; see `afrokhlin.intervals`.
 """
@@ -167,15 +170,23 @@ def gap_product_tail(
     return TailPositive(lower, min(hi, 1))
 
 
-def _shifted(x: int, shift: int) -> int:
-    """x * 2**shift, floored when shift is negative."""
-    return x << shift if shift >= 0 else x >> -shift
-
-
 def _floor_bits(x: Fraction, prec: int) -> Fraction:
     """Largest dyadic <= x in (0, 1] with about prec significant bits."""
     shift = prec + x.denominator.bit_length() - x.numerator.bit_length()
     return Fraction((x.numerator << shift) // x.denominator, 1 << shift)
+
+
+def _product_bit_length(u: int, v: int) -> int:
+    """(u * v).bit_length() for u, v >= 0: u*v / 2**(su + sv) lies in [tu*tv,
+    (tu + 1)(tv + 1)) for the 64-bit tops tu = u >> su, tv = v >> sv, and the exact
+    product is formed only if an operand fits 64 bits or the ends' lengths differ."""
+    su, sv = u.bit_length() - 64, v.bit_length() - 64
+    if su > 0 < sv:
+        tu, tv = u >> su, v >> sv
+        low = (tu * tv).bit_length()
+        if low == ((tu + 1) * (tv + 1) - 1).bit_length():
+            return low + su + sv
+    return (u * v).bit_length()
 
 
 def _enclose_gap_product(
@@ -183,28 +194,39 @@ def _enclose_gap_product(
 ) -> tuple[Fraction, Fraction]:
     """Outward-rounded enclosure lo <= gap_product(spec, m, n) <= hi.
 
-    Factors of ``spec.factor_stream(m)`` multiply exactly, with unreduced
+    Factors of ``spec.split_stream(m)`` multiply exactly, with unreduced
     integer numerator and denominator and no gcd, while the denominator fits
     in ``prec`` bits, so a product that never outgrows the precision comes
     back exact (lo == hi).  From then on, reading on in the same stream, both
     ends are integer mantissas of about ``prec`` bits over a common power of
-    two, lo floored and hi ceiled at every factor.
+    two, lo floored and hi ceiled at every factor.  A factor (x*P + y)/(A*P)
+    takes a mantissa V to floor((V*x + floor(V*y / P)) / A), which is
+    floor(V*(x*P + y) / (A*P)) as floor(z / A) = floor(floor(z) / A); for a
+    shift s < 0 the floor by 2**-s comes first, as V = v / 2**-s is no integer.
     """
-    stream = spec.factor_stream(m)
+    stream = spec.split_stream(m)
     k, num, den = m, 1, 1
     while den.bit_length() <= prec:
         if k == n:
             exact = Fraction(num, den)
             return exact, exact
-        a, b = next(stream)
-        k, num, den = k + 1, num * a, den * b
-    lo = hi = 1
-    scale = 0  # the mantissas stand for lo / 2**scale and hi / 2**scale
-    for a, b in chain([(num, den)], islice(stream, n - k)):
-        # choose the shift that leaves about prec bits in the quotient;
-        # floor(-x / d) = -ceil(x / d) rounds hi up
-        shift = prec + b.bit_length() - (hi * a).bit_length()
-        lo = _shifted(lo * a, shift) // b
-        hi = -(_shifted(-hi * a, shift) // b)
+        x, y, A, P = next(stream)
+        k, num, den = k + 1, num * (x * P + y), den * (A * P)
+    lo, hi = 1, -1  # hi is kept negated: floor(-x / d) = -ceil(x / d) rounds it up
+    scale = 0  # the mantissas stand for lo / 2**scale and -hi / 2**scale
+    for x, y, A, P in chain([(num, 0, den, 1)], islice(stream, n - k)):
+        # choose the shift that leaves about prec bits in the quotient
+        shift = prec + (A * P).bit_length() - _product_bit_length(-hi, x * P + y)
         scale += shift
-    return Fraction(lo, 1 << scale), Fraction(hi, 1 << scale)
+        if shift > 0:
+            lo, hi = lo << shift, hi << shift
+        lo_w, hi_w = lo * x, hi * x
+        if y and P & (P - 1):
+            lo_w, hi_w = lo_w + lo * y // P, hi_w + hi * y // P
+        elif y:  # floor(v*y / P) is a shift
+            t = P.bit_length() - 1
+            lo_w, hi_w = lo_w + (lo * y >> t), hi_w + (hi * y >> t)
+        if shift < 0:
+            lo_w, hi_w = lo_w >> -shift, hi_w >> -shift
+        lo, hi = lo_w // A, hi_w // A
+    return Fraction(lo, 1 << scale), Fraction(-hi, 1 << scale)

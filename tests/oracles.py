@@ -5,7 +5,8 @@ condensation is checked by literally tensoring diagonal sign matrices and
 counting eigenvalues, positivity by brute-force search over the reachable
 stages of a truncated system plus the exact end rule of a known tail, tail
 products by deep partial products with elementary remainder bounds, the
-rounded tail enclosures by the exact `Fraction` partial product they replace,
+rounded tail enclosures by the exact `Fraction` partial product they replace
+and by the rounded loop over whole factors read one index at a time,
 the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
 axioms, and greedy towers by scanning every row for a fixed point and
@@ -132,6 +133,33 @@ def _reduced_gap_product(spec: ActionSpec, m: int, n: int) -> Fraction:
     for i in range(m + 1, n + 1):
         partial *= spec.factor(i).gap
     return partial
+
+
+def reference_enclose_gap_product(spec: ActionSpec, m: int, n: int, prec: int, shifts=None):
+    """_enclose_gap_product one factor at a time through ``spec.factor(i)``,
+    multiplying each rounded mantissa by the whole a = p - q and dividing by
+    the whole b = p + q; the shifts of the rounded steps are appended to
+    ``shifts`` when it is a list."""
+    i, num, den = m, 1, 1
+    while den.bit_length() <= prec:
+        if i == n:
+            return Fraction(num, den), Fraction(num, den)
+        i += 1
+        f = spec.factor(i)
+        num, den = num * (f.p - f.q), den * f.size
+    steps = [(num, den)] + [(f.p - f.q, f.size) for f in map(spec.factor, range(i + 1, n + 1))]
+    lo = hi = 1
+    scale = 0
+    for a, b in steps:
+        shift = prec + b.bit_length() - (hi * a).bit_length()
+        if shifts is not None:
+            shifts.append(shift)
+        if shift >= 0:
+            lo, hi = (lo * a << shift) // b, -((-hi * a << shift) // b)
+        else:
+            lo, hi = (lo * a >> -shift) // b, -((-hi * a >> -shift) // b)
+        scale += shift
+    return Fraction(lo, 1 << scale), Fraction(hi, 1 << scale)
 
 
 def tower_base_exists(gs: FiniteGSet) -> bool:

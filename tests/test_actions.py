@@ -339,6 +339,18 @@ def test_factor_stream_matches_factor():
         assert list(islice(spec.factor_stream(m), 30)) == want, (spec, m)
 
 
+def test_split_stream_rebuilds_each_factor():
+    rng = random.Random(1113)
+    for _ in range(300):
+        spec = random_spec(rng)
+        n0 = len(spec.prefix)
+        for m in (0, n0, rng.randint(0, n0 + 60)):
+            items = islice(spec.split_stream(m), 30)
+            for f, (x, y, A, P) in zip(map(spec.factor, range(m + 1, m + 31)), items):
+                assert x * P + y >= 0
+                assert (x * P + y, A * P) == (f.p - f.q, f.size), (spec, m)
+
+
 def test_factor_stream_of_a_finite_action_raises_at_its_end():
     rng = random.Random(1112)
     for _ in range(200):

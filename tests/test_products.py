@@ -21,10 +21,15 @@ from afrokhlin import (
     is_positive,
 )
 from afrokhlin.intervals import round_down, round_up
-from afrokhlin.products import _enclose_gap_product, first_zero_gap_after
+from afrokhlin.products import _enclose_gap_product, _product_bit_length, first_zero_gap_after
 from afrokhlin.report import classification_json
-from oracles import dyadic_euler_interval, exact_gap_product_tail, sign_tensor_counts
-from specgen import random_factor_list, random_spec
+from oracles import (
+    dyadic_euler_interval,
+    exact_gap_product_tail,
+    reference_enclose_gap_product,
+    sign_tensor_counts,
+)
+from specgen import random_factor_list, random_periodic, random_spec
 
 
 def test_gap_examples():
@@ -289,6 +294,62 @@ def test_enclosure_rounds_when_the_last_factor_outgrows_the_precision():
     lo, hi = _enclose_gap_product(spec, 0, 41, 64)
     assert lo < Fraction(1, 3**41) < hi
     assert max(lo.denominator, hi.denominator).bit_length() > 64
+
+
+def test_split_enclosure_matches_the_whole_factor_reference():
+    # bases with and without power-of-two P, c = alpha - gamma and beta of
+    # both signs, prefixes with and without symmetric factors, periodic
+    # tails, and n one before, at, one after and well past the first
+    # rounded factor
+    rng = random.Random(1313)
+    shifts, seen, cases = [], set(), 0
+    for B in (2, 3, 4, 6, 10, 16):
+        for _ in range(25):
+            A = rng.randint(1, 6)
+            alpha = rng.randint(0, A)
+            beta = rng.randint(-alpha * B, (A - alpha) * B)
+            if rng.random() < 0.8:
+                tail = AffinePowerTail(B, A, alpha, beta, A - alpha, -beta)
+                seen.add((2 * alpha > A, 2 * alpha < A, beta > 0, beta < 0))
+            else:
+                tail = random_periodic(rng)
+            seen.add(tail.kind)
+            prefix = tuple(random_factor_list(rng, 3, 9)) if rng.random() < 0.7 else ()
+            seen.add(any(f.symmetric for f in prefix))
+            spec = ActionSpec("split", prefix, tail)
+            m = rng.randint(0, len(prefix) + 2)
+            prec = rng.randint(8, 160)
+            switch = next(k for k, _, size in spec.partial_products(m) if size.bit_length() > prec)
+            for n in (switch - 1, switch, switch + 1, switch + rng.randint(2, 40)):
+                want = reference_enclose_gap_product(spec, m, n, prec, shifts)
+                assert _enclose_gap_product(spec, m, n, prec) == want, (spec, m, n, prec)
+                cases += 1
+    assert cases >= 500
+    assert {"periodic", True, False, (False, True, True, False), (False, True, False, True)} <= seen
+    assert min(shifts) < 0 < max(shifts)
+
+
+def test_product_bit_length_reads_the_top_bits():
+    # tops 2**64 - 1 and 2**63 over 2**273 leave 400 or 401 bits open, so
+    # only the exact product settles 2**400 - 1, and the 401 bits of the
+    # second product
+    u = 2**200 - 1
+    for v, bits in ((2**200 + 1, 400), (2**200 + 2**137 - 1, 401)):
+        tu, tv = u >> 136, v >> 137
+        assert (tu * tv).bit_length() + 273 == 400
+        assert ((tu + 1) * (tv + 1) - 1).bit_length() + 273 == 401
+        assert (u * v).bit_length() == bits
+        assert _product_bit_length(u, v) == bits
+    # operands of at most 64 bits, and near powers of two, where the tops
+    # decide least
+    rng = random.Random(1314)
+    for _ in range(1000):
+        sizes = rng.choice((rng.randint(1, 64), rng.randint(65, 600))), rng.randint(1, 600)
+        u, v = (
+            rng.choice(((1 << bits) + rng.randint(-2, 2), rng.getrandbits(bits))) for bits in sizes
+        )
+        u, v = max(u, 0), max(v, 0)
+        assert _product_bit_length(u, v) == (u * v).bit_length(), (u, v)
 
 
 def test_tail_walk_reads_integers_only(monkeypatch):
