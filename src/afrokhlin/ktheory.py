@@ -15,7 +15,12 @@ at some finite stage N, which the certified tail enclosures resolve.
 The presentation engine computes colimits of a fixed finitely generated
 abelian presentation under an eventually periodic sequence of self-maps.  It
 deliberately supports only block-diagonal maps with a diagonal free block and
-a torsion-respecting torsion block; everything else is rejected loudly.
+a torsion-respecting torsion block; everything else is rejected loudly.  The
+torsion of a colimit is the eventual image of the torsion block, read off one
+Smith diagonal: with L = lcm(d_i), x -> ((L/d_i) * x_i) embeds +Z/d_i into
+(Z/L)^t, because (L/d_i) * x_i = 0 mod L exactly when d_i divides x_i.  A
+subgroup spanned by columns g is then the span of diag(L/d_i) g mod L, which
+is +Z/(L/gcd(s_i, L)) for the Smith diagonal s_i of that matrix.
 """
 
 from __future__ import annotations
@@ -267,10 +272,13 @@ def mat_mul(a, b) -> Matrix:
     ]
 
 
-def _smith_full(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    """Return (U, S, V, Vinv) with U S V = mat, U and V unimodular, S in
-    Smith form.  The invariant U @ A @ V == mat is maintained through every
-    elementary operation.
+def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
+    """Diagonalize an integer matrix by unimodular transforms.
+
+    Returns (U, S, V) with U S V = mat, det U = +-1, det V = +-1, and S
+    diagonal with nonnegative invariant factors dividing in sequence.  The
+    invariant U @ S @ V == mat is maintained through every elementary
+    operation.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
@@ -279,7 +287,6 @@ def _smith_full(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     A = [[int(x) for x in r] for r in mat]
     U = _identity(rows)
     V = _identity(cols)
-    Vinv = _identity(cols)
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
@@ -301,33 +308,22 @@ def _smith_full(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
         for r in A:
             r[i], r[j] = r[j], r[i]
         V[i], V[j] = V[j], V[i]
-        for r in Vinv:
-            r[i], r[j] = r[j], r[i]
 
     def col_add(j, i, c):
         # column j += c * column i
         for r in A:
             r[j] += c * r[i]
         V[i] = [x - c * y for x, y in zip(V[i], V[j])]
-        for r in Vinv:
-            r[j] += c * r[i]
 
     def min_pos(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if A[i][j] != 0 and (
-                    best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])
-                ):
-                    best = (i, j)
-        return best
+        # the first entry of least nonzero size, in row-major order
+        cells = [(abs(A[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)]
+        return min((c for c in cells if c[0]), default=None)
 
-    t = 0
-    while t < min(rows, cols):
-        if min_pos(t) is None:
-            break
-        while True:
-            i0, j0 = min_pos(t)
+    for t in range(min(rows, cols)):
+        # a zero block leaves the loop at once, with A[t][t] = 0
+        while (pivot := min_pos(t)) is not None:
+            _, i0, j0 = pivot
             if i0 != t:
                 row_swap(t, i0)
             if j0 != t:
@@ -343,44 +339,16 @@ def _smith_full(mat) -> tuple[Matrix, Matrix, Matrix, Matrix]:
                     dirty = dirty or A[t][j] != 0
             if dirty:
                 continue
-            offender = None
-            for i in range(t + 1, rows):
-                if any(A[i][j] % A[t][t] for j in range(t + 1, cols)):
-                    offender = i
-                    break
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % A[t][t] for x in A[i][t + 1:])),
+                None,
+            )
             if offender is None:
                 break
             row_add(t, offender, 1)
         if A[t][t] < 0:
             row_neg(t)
-        t += 1
-    return U, A, V, Vinv
-
-
-def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize an integer matrix by unimodular transforms.
-
-    Returns (U, S, V) with U S V = mat, det U = +-1, det V = +-1, and S
-    diagonal with nonnegative invariant factors dividing in sequence.
-    """
-    U, S, V, _ = _smith_full(mat)
-    return U, S, V
-
-
-def _kernel_basis(mat) -> list[list[int]]:
-    """Basis (as column vectors) of the integer kernel lattice."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    _, S, _, Vinv = _smith_full(mat)
-    basis = []
-    for j in range(cols):
-        if j >= rows or S[j][j] == 0:
-            basis.append([Vinv[i][j] for i in range(cols)])
-    return basis
+    return U, A, V
 
 
 # ----------------------------------------------------------------------------
@@ -473,25 +441,19 @@ def _reduce_mod_orders(M: Matrix, orders: tuple[int, ...]) -> Matrix:
 
 
 def _subgroup_invariant_factors(gens: Matrix, orders: tuple[int, ...]) -> tuple[int, ...]:
-    """Isomorphism type of the subgroup of +Z/orders generated by the columns."""
-    t = len(orders)
-    r = len(gens[0]) if t and gens else 0
-    if t == 0 or r == 0:
-        return ()
-    stacked = [
-        [gens[i][j] for j in range(r)]
-        + [-orders[i] if k == i else 0 for k in range(t)]
-        for i in range(t)
-    ]
-    relations = [vec[:r] for vec in _kernel_basis(stacked)]
-    if not relations:
-        raise AssertionError("subgroup of a finite group must be finite")
-    rel_matrix = [[col[i] for col in relations] for i in range(r)]
-    _, S, _ = smith_normal_form(rel_matrix)
-    diag = [S[i][i] for i in range(min(r, len(relations)))]
-    if len(diag) < r or any(d == 0 for d in diag):
-        raise AssertionError("subgroup of a finite group must be finite")
-    return tuple(d for d in diag if d >= 2)
+    """Isomorphism type of the subgroup of +Z/orders generated by the columns.
+
+    With L = lcm(orders), x -> ((L/d_i) * x_i) embeds +Z/d_i into (Z/L)^t:
+    (L/d_i) * x_i = 0 mod L exactly when d_i divides x_i.  So the subgroup is
+    the column span of M = diag(L/d_i) gens mod L.  Write M = U S V in Smith
+    form; U and V are unimodular, so they stay invertible mod L, and the span
+    is +s_i Z/L = +Z/(L/gcd(s_i, L)).  The s_i divide in sequence, so these
+    orders, read in reverse, do too.
+    """
+    L = math.lcm(*orders)
+    _, S, _ = smith_normal_form([[L // d * x for x in row] for d, row in zip(orders, gens)])
+    diagonal = [row[i] for i, row in enumerate(S) if i < len(row)]
+    return tuple(f for f in (L // math.gcd(s, L) for s in reversed(diagonal)) if f >= 2)
 
 
 def _stable_image_factors(tb: Matrix, orders: tuple[int, ...]) -> tuple[int, ...]:
@@ -504,8 +466,6 @@ def _stable_image_factors(tb: Matrix, orders: tuple[int, ...]) -> tuple[int, ...
     once.  The colimit of the torsion part is the stable image (the map
     restricts to an automorphism of it).
     """
-    if not orders:
-        return ()
     power = _reduce_mod_orders(tb, orders)
     for _ in range(math.prod(orders).bit_length().bit_length()):
         power = _reduce_mod_orders(mat_mul(power, power), orders)

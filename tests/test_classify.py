@@ -6,6 +6,7 @@ import pytest
 from afrokhlin import (
     FIXTURE_NAMES,
     ActionSpec,
+    AffinePowerTail,
     FiniteActionError,
     PeriodicTail,
     RankPair,
@@ -167,8 +168,6 @@ def test_verdicts_stable_under_prefix_perturbation():
 
 
 def test_tracial_unknown_at_tiny_cutoff_then_decided():
-    from afrokhlin import AffinePowerTail
-
     tail = AffinePowerTail(B=3, A=1, alpha=1, beta=-3, gamma=0, delta=3)
     spec = ActionSpec("slow", (), tail)
     shallow = tracial_rokhlin_verdict(spec, cutoff=1)
@@ -256,3 +255,40 @@ def test_report_derives_the_rest_of_the_sheet(name):
         "crossed_product_simple",
         "crossed_product_uhf",
     ]
+
+
+def _periodic(prefix, pairs):
+    tail = PeriodicTail(tuple(RankPair(*p) for p in pairs))
+    return ActionSpec("hint", tuple(RankPair(*p) for p in prefix), tail)
+
+
+@pytest.mark.parametrize(
+    "make_spec, line",
+    [
+        (
+            lambda: _periodic((), [(1, 1), (1, 0)]),
+            "- tracial Rokhlin property: yes  [gap ratio 0 recurs (first at index 1)]",
+        ),
+        (
+            lambda: _periodic((), [(2, 1), (1, 0)]),
+            "- tracial Rokhlin property: yes  [sum of (1 - gap) diverges]",
+        ),
+        (
+            lambda: ActionSpec("hint", (), AffinePowerTail(2, 4, 3, 0, 1, 0)),
+            "- tracial Rokhlin property: yes  [gap ratios converge to 1/2 < 1]",
+        ),
+        (
+            lambda: ActionSpec("hint", (), AffinePowerTail(2, 2, 1, 0, 1, 0)),
+            "- strict Rokhlin property: yes  [every tail factor from index 1 is rank-symmetric]",
+        ),
+        (
+            lambda: _periodic([(2, 1)], [(1, 0)]),
+            "- action outer: no  [all factors beyond index 1 have zero smaller rank]",
+        ),
+    ],
+    ids=["recurring_zero_gap", "divergent_sum", "gap_limit", "symmetric_tail", "inner_beyond"],
+)
+def test_classification_text_witness_hints(make_spec, line):
+    from afrokhlin.report import classification_text
+
+    assert line in classification_text(classification_report(make_spec())).splitlines()

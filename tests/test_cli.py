@@ -222,6 +222,30 @@ def test_torsion_cli():
     assert run_cli("torsion", "--m", "1", "--r", "0,2").returncode == 2
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_torsion_in_process(m, capsys):
+    rs = list(range(m, 2 * m + 1))
+    primes = set()
+    for r in rs:
+        n, p = 2 * r + 1, 3
+        while n > 1:
+            while n % p == 0:
+                primes.add(p)
+                n //= p
+            p += 2
+    assert main(["torsion", "--m", str(m), "--r", ",".join(map(str, rs)), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["torsion_family"]
+    assert doc["k0"]["invariant_factors"] == [2**m]
+    assert doc["k0"]["localizations"] == [{str(p): "inf" for p in sorted(primes)}]
+    assert doc["k0_torsion_subgroup"] == f"Z/{2**m}"
+
+    assert main(["torsion", "--m", str(m), "--r", ",".join(map(str, rs)), "--notor", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["torsion_family"]
+    assert doc["variant"] == "torsion_free"
+    assert doc["k1"]["pretty"] == "Z"
+    assert (doc["k1"]["free_rank"], doc["k1"]["invariant_factors"]) == (1, [])
+
+
 def test_quiet_suppresses_text():
     r = run_cli("classify", "car1", "--quiet")
     assert r.returncode == 0

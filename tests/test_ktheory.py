@@ -26,7 +26,7 @@ from afrokhlin import (
     smith_normal_form,
     transition,
 )
-from afrokhlin.ktheory import _kernel_basis, mat_mul
+from afrokhlin.ktheory import _subgroup_invariant_factors, mat_mul
 from oracles import ORACLE_TAILS, cone_oracle, truncated_spec
 from specgen import random_factor_list, random_spec
 
@@ -239,17 +239,6 @@ def test_snf_randomized(rows, cols, data):
     check_snf(mat)
 
 
-def test_kernel_basis():
-    rng = random.Random(59)
-    for _ in range(100):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        for vec in _kernel_basis(mat):
-            image = [sum(mat[i][j] * vec[j] for j in range(cols)) for i in range(rows)]
-            assert all(x == 0 for x in image)
-
-
 # ----------------------------------------------------------------------------
 # Colimits of finitely generated abelian presentations
 
@@ -351,6 +340,48 @@ def test_colimit_torsion_against_brute_force():
         got_elements = list(iproduct(*[range(d) for d in got.torsion])) or [()]
         got_stats = order_multiset(got.torsion, got_elements)
         assert got_stats == expected_stats
+
+
+def brute_subgroup(gens, orders):
+    """Every element of the subgroup of +Z/orders spanned by the columns."""
+    cols = [
+        tuple(gens[i][j] % d for i, d in enumerate(orders)) for j in range(len(gens[0]))
+    ]
+    seen = {tuple(0 for _ in orders)}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for g in cols:
+            y = tuple((a + b) % d for a, b, d in zip(x, g, orders))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def test_subgroup_invariant_factors_against_brute_force():
+    from itertools import product as iproduct
+
+    rng = random.Random(1403)
+    chains = [
+        (2,), (8,), (2, 4), (2, 2, 4), (2, 4, 8), (3, 9), (3, 9, 27), (5, 10),
+        (6, 12), (5, 25), (2, 6, 12), (4, 4),
+    ]
+    shapes = [(orders, r, zero) for orders in chains for r in range(1, 5) for zero in (False, True)]
+    for orders, r, zero in shapes * 4:
+        gens = [[rng.randint(-2 * d, 2 * d) for _ in range(r)] for d in orders]
+        if zero:
+            column = rng.randrange(r)
+            for row in gens:
+                row[column] = 0
+        got = _subgroup_invariant_factors(gens, orders)
+        assert all(d >= 2 for d in got)
+        assert all(e % d == 0 for d, e in zip(got, got[1:]))
+        elements = list(iproduct(*[range(d) for d in got])) or [()]
+        expected = order_multiset(orders, brute_subgroup(gens, orders))
+        assert order_multiset(got, elements) == expected, (gens, orders, got)
+    assert _subgroup_invariant_factors([], ()) == ()
+    assert _subgroup_invariant_factors([[], []], (2, 4)) == ()
 
 
 def test_colimit_rejects_bad_maps():
