@@ -4,7 +4,7 @@ showing the convergence of the stage weights to the endpoint (1, 0)."""
 
 import argparse
 
-from afrokhlin import extreme_trace_vector, fixture, gap
+from afrokhlin import extreme_trace_vector, fixture
 from afrokhlin.report import weight_str
 
 
@@ -19,7 +19,7 @@ def main() -> None:
     print(f"{'n':>3}  {'gap(n)':>10}  r_n (extreme 1)")
     for n in range(0, args.stages + 1):
         tv = extreme_trace_vector(spec, 1, n, cutoff=args.cutoff)
-        g = gap(spec, n) if n >= 1 else "-"
+        g = spec.factor(n).gap if n >= 1 else "-"
         print(f"{n:>3}  {str(g):>10}  {weight_str(tv.r)}")
 
 

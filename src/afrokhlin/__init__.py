@@ -15,8 +15,6 @@ from .actions import (
     PeriodicTail,
     RankPair,
     SupernaturalNumber,
-    factor_at,
-    normalize,
     spec_from_json,
     spec_to_json,
     supernatural_of_algebra,
@@ -26,8 +24,6 @@ from .classify import (
     UndecidedError,
     Verdict,
     classification_report,
-    crossed_product_simple_verdict,
-    crossed_product_uhf_verdict,
     extreme_trace_count,
     outer_verdict,
     strict_rokhlin_verdict,
@@ -38,7 +34,6 @@ from .intervals import RatInterval
 from .ktheory import (
     FgAbPresentation,
     K0Element,
-    TransitionMatrix,
     fgab_colimit,
     flip,
     is_equal,
@@ -46,8 +41,6 @@ from .ktheory import (
     is_totally_ordered,
     is_zero,
     push_forward,
-    smith_normal_form,
-    transition,
 )
 from .products import (
     DEFAULT_CUTOFF,
@@ -56,7 +49,6 @@ from .products import (
     TailUnknown,
     TailZero,
     condense,
-    gap,
     gap_product,
     gap_product_tail,
 )
@@ -66,8 +58,6 @@ from .traces import (
     UniqueTraceError,
     extreme_trace_vector,
     invariant_trace_vector,
-    mixing_matrix,
-    trace_of_element,
 )
 from .cantor import (
     FiniteGSet,

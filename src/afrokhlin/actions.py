@@ -83,11 +83,6 @@ class RankPair:
         return RankPair(max(self.p, self.q), min(self.p, self.q))
 
 
-def normalize(pair: RankPair) -> RankPair:
-    """Order the ranks of a factor so that p >= q.  Idempotent."""
-    return pair.normalized()
-
-
 @dataclass(frozen=True)
 class PeriodicTail:
     """Tail that cycles through a fixed list of factors forever."""
@@ -330,10 +325,6 @@ class ActionSpec:
         if self.tail is None and not self.prefix:
             raise InvalidActionSpec("finite action needs at least one factor")
 
-    @property
-    def is_finite(self) -> bool:
-        return self.tail is None
-
     def factor(self, n: int) -> RankPair:
         """Normalized factor at 1-based index n."""
         if n < 1:
@@ -390,14 +381,6 @@ class ActionSpec:
             raise ValueError(f"range end {n} precedes start {m}")
         _, diff, size = next(islice(self.partial_products(m), n - m, None))
         return diff, size
-
-    def total_size(self, n: int) -> int:
-        """Product of the matrix sizes of factors 1..n (1 for n = 0)."""
-        return self.range_product(0, n)[1]
-
-
-def factor_at(spec: ActionSpec, n: int) -> RankPair:
-    return spec.factor(n)
 
 
 # ----------------------------------------------------------------------------

@@ -171,35 +171,6 @@ def outer_verdict(spec: ActionSpec) -> Verdict:
     )
 
 
-def _simple_from(outer: Verdict) -> Verdict:
-    return replace(outer, citations=cite("outerness-criterion"))
-
-
-def _uhf_from(spec: ActionSpec, strict: Verdict) -> Verdict:
-    anchors = cite("strict-rokhlin-criterion", "uhf-supernatural")
-    if strict.is_yes:
-        sn = supernatural_of_algebra(spec)
-        return Verdict(YES, {**strict.witness, "supernatural": sn}, anchors)
-    return replace(strict, citations=anchors)
-
-
-def crossed_product_simple_verdict(spec: ActionSpec) -> Verdict:
-    """Simplicity of the crossed product; same decision as outerness."""
-    return _simple_from(outer_verdict(spec))
-
-
-def crossed_product_uhf_verdict(
-    spec: ActionSpec,
-) -> tuple[Verdict, SupernaturalNumber | None]:
-    """UHF-ness of the crossed product; same decision as strict Rokhlin.
-
-    When yes, the crossed product is the matrix colimit of sizes t(n) and its
-    supernatural number equals that of the ambient algebra.
-    """
-    uhf = _uhf_from(spec, strict_rokhlin_verdict(spec))
-    return uhf, uhf.witness.get("supernatural")
-
-
 def extreme_trace_count(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> int | str:
     """1 when the sum of (1 - gap) diverges, so every tail gap product
     vanishes; otherwise 2, or unknown when the tail does not settle within
@@ -237,7 +208,7 @@ class ClassificationReport:
 
     @property
     def crossed_product_simple(self) -> Verdict:
-        return _simple_from(self.outer)
+        return replace(self.outer, citations=cite("outerness-criterion"))
 
     @property
     def crossed_product_supernatural(self) -> SupernaturalNumber | None:
@@ -281,11 +252,20 @@ def classification_report(
 ) -> ClassificationReport:
     require_infinite(spec)
     strict = strict_rokhlin_verdict(spec)
+    # The crossed product is UHF exactly when the action is strictly Rokhlin;
+    # it is then the matrix colimit of sizes t(n), and its supernatural number
+    # equals that of the ambient algebra.
+    anchors = cite("strict-rokhlin-criterion", "uhf-supernatural")
+    if strict.is_yes:
+        sn = supernatural_of_algebra(spec)
+        uhf = Verdict(YES, {**strict.witness, "supernatural": sn}, anchors)
+    else:
+        uhf = replace(strict, citations=anchors)
     return ClassificationReport(
         spec=spec,
         strict_rokhlin=strict,
         tracial_rokhlin=tracial_rokhlin_verdict(spec, cutoff),
         outer=outer_verdict(spec),
-        crossed_product_uhf=_uhf_from(spec, strict),
+        crossed_product_uhf=uhf,
         cutoff=cutoff,
     )

@@ -6,11 +6,11 @@ matrices [[p_n, q_n], [q_n, p_n]].  In the coordinates u = a + b, v = a - b
 each stage map is diagonal: u scales by the matrix size k_n, v by the rank
 difference p_n - q_n.  `push_forward` works in this diagonal form, scaling u
 and v by the products of the factor walk `ActionSpec.partial_products`, and
-`is_positive` scans the same walk stage by stage; `TransitionMatrix` is the
-stage map in matrix form.  Equality and positivity of colimit classes are
-decided lazily from these scalings together with gap-product thresholds: a
-class with u > 0 is positive exactly when |v| * gap_product(stage, N) <= u
-at some finite stage N, which the certified tail enclosures resolve.
+`is_positive` scans the same walk stage by stage.  Equality and positivity of
+colimit classes are decided lazily from these scalings together with
+gap-product thresholds: a class with u > 0 is positive exactly when
+|v| * gap_product(stage, N) <= u at some finite stage N, which the certified
+tail enclosures resolve.
 
 The presentation engine computes colimits of a fixed finitely generated
 abelian presentation under an eventually periodic sequence of self-maps.  It
@@ -49,31 +49,6 @@ from .products import (
 
 
 @dataclass(frozen=True)
-class TransitionMatrix:
-    """Stage map [[p, q], [q, p]] on Z^2, built from normalized factor ranks."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if not (self.p >= self.q >= 0) or self.p + self.q < 1:
-            raise ValueError(f"bad transition ranks ({self.p}, {self.q})")
-
-    @property
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.p, self.q), (self.q, self.p))
-
-    def apply(self, vec: tuple[int, int]) -> tuple[int, int]:
-        a, b = vec
-        return (self.p * a + self.q * b, self.q * a + self.p * b)
-
-
-def transition(spec: ActionSpec, n: int) -> TransitionMatrix:
-    f = spec.factor(n)
-    return TransitionMatrix(f.p, f.q)
-
-
-@dataclass(frozen=True)
 class K0Element:
     """A class in stage-n K0, i.e. a vector of Z^2 tagged with its stage.
 
@@ -99,9 +74,6 @@ class K0Element:
 
     def __neg__(self) -> "K0Element":
         return K0Element(self.stage, -self.a, -self.b)
-
-    def scaled(self, c: int) -> "K0Element":
-        return K0Element(self.stage, c * self.a, c * self.b)
 
 
 def flip(el: K0Element) -> K0Element:
@@ -272,48 +244,37 @@ def mat_mul(a, b) -> Matrix:
     ]
 
 
-def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
-    """Diagonalize an integer matrix by unimodular transforms.
+def _smith_diagonal(mat) -> list[int]:
+    """The diagonal of the Smith normal form of an integer matrix.
 
-    Returns (U, S, V) with U S V = mat, det U = +-1, det V = +-1, and S
-    diagonal with nonnegative invariant factors dividing in sequence.  The
-    invariant U @ S @ V == mat is maintained through every elementary
-    operation.
+    Unimodular row and column operations bring the matrix to a diagonal of
+    nonnegative invariant factors dividing in sequence; the diagonal is read
+    off at the end.
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     if any(len(r) != cols for r in mat):
         raise ValueError("matrix must be rectangular")
     A = [[int(x) for x in r] for r in mat]
-    U = _identity(rows)
-    V = _identity(cols)
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        for r in U:
-            r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
-        # A[i] += c * A[j]; compensate U by the inverse column operation
+        # A[i] += c * A[j]
         A[i] = [x + c * y for x, y in zip(A[i], A[j])]
-        for r in U:
-            r[j] -= c * r[i]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
-        for r in U:
-            r[i] = -r[i]
 
     def col_swap(i, j):
         for r in A:
             r[i], r[j] = r[j], r[i]
-        V[i], V[j] = V[j], V[i]
 
     def col_add(j, i, c):
         # column j += c * column i
         for r in A:
             r[j] += c * r[i]
-        V[i] = [x - c * y for x, y in zip(V[i], V[j])]
 
     def min_pos(t):
         # the first entry of least nonzero size, in row-major order
@@ -348,7 +309,7 @@ def smith_normal_form(mat) -> tuple[Matrix, Matrix, Matrix]:
             row_add(t, offender, 1)
         if A[t][t] < 0:
             row_neg(t)
-    return U, A, V
+    return [A[t][t] for t in range(min(rows, cols))]
 
 
 # ----------------------------------------------------------------------------
@@ -371,11 +332,11 @@ class FgAbPresentation:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
+        if any(d < 2 for d in self.torsion):
+            raise ValueError("invariant factors must be >= 2")
         for d, e in zip(self.torsion, self.torsion[1:]):
             if e % d:
                 raise ValueError(f"invariant factors must divide in sequence: {d}, {e}")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError("invariant factors must be >= 2")
         locs = self.localizations
         if not locs:
             locs = tuple(SupernaturalNumber.one() for _ in range(self.free_rank))
@@ -383,10 +344,6 @@ class FgAbPresentation:
             raise ValueError("need one localization per free generator")
         object.__setattr__(self, "localizations", locs)
         object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-
-    @property
-    def torsion_free(self) -> bool:
-        return not self.torsion
 
     def __str__(self) -> str:
         parts = []
@@ -451,8 +408,7 @@ def _subgroup_invariant_factors(gens: Matrix, orders: tuple[int, ...]) -> tuple[
     orders, read in reverse, do too.
     """
     L = math.lcm(*orders)
-    _, S, _ = smith_normal_form([[L // d * x for x in row] for d, row in zip(orders, gens)])
-    diagonal = [row[i] for i, row in enumerate(S) if i < len(row)]
+    diagonal = _smith_diagonal([[L // d * x for x in row] for d, row in zip(orders, gens)])
     return tuple(f for f in (L // math.gcd(s, L) for s in reversed(diagonal)) if f >= 2)
 
 
@@ -475,9 +431,8 @@ def _stable_image_factors(tb: Matrix, orders: tuple[int, ...]) -> tuple[int, ...
 def fgab_colimit(
     initial: FgAbPresentation,
     cycle,
-    prefix=(),
 ) -> FgAbPresentation:
-    """Colimit of a constant presentation along prefix + repeated cycle maps.
+    """Colimit of a constant presentation along repeated cycle maps.
 
     Generators are ordered free-first; each map is a square integer matrix
     whose column j gives the image of generator j.  The free part of the
@@ -486,14 +441,12 @@ def fgab_colimit(
     torsion block.  Maps outside the supported shape raise ValueError.
     """
     cycle = tuple(cycle)
-    prefix = tuple(prefix)
     if not cycle:
         raise ValueError("need a nonempty cycle of maps")
     if any(loc.exponents for loc in initial.localizations):
         raise ValueError("initial presentation must have trivial localizations")
     free, orders = initial.free_rank, initial.torsion
-    checked = [_check_colimit_map(M, free, orders) for M in prefix + cycle]
-    cyc = checked[len(prefix):]
+    cyc = [_check_colimit_map(M, free, orders) for M in cycle]
 
     locs = []
     for i in range(free):

@@ -85,11 +85,6 @@ class TailUnknown:
 TailProductResult = TailZero | TailPositive | TailUnknown
 
 
-def gap(spec: ActionSpec, n: int) -> Fraction:
-    """Gap ratio (p - q)/(p + q) of the normalized factor at index n."""
-    return spec.factor(n).gap
-
-
 def gap_product(spec: ActionSpec, m: int, n: int) -> Fraction:
     """Product of the gap ratios of factors m+1 .. n; empty ranges give 1."""
     return Fraction(*spec.range_product(m, n))

@@ -130,9 +130,8 @@ def _witness_hint(v: Verdict) -> str:
         return "factors with nonzero smaller rank recur"
     if kind == "inner_beyond":
         return f"all factors beyond index {w['index']} have zero smaller rank"
-    if kind == "cutoff_exhausted":
-        return f"cutoff {w['cutoff']} exhausted"
-    return ""
+    # cutoff_exhausted: the one undecided kind a report's verdicts carry
+    return f"cutoff {w['cutoff']} exhausted"
 
 
 _VERDICT_LABELS = {
@@ -147,9 +146,7 @@ _VERDICT_LABELS = {
 def classification_text(report: ClassificationReport) -> str:
     lines = [f"action {report.spec.name!r} (cutoff {report.cutoff})"]
     for name, v in report.verdicts().items():
-        hint = _witness_hint(v)
-        suffix = f"  [{hint}]" if hint else ""
-        lines.append(f"- {_VERDICT_LABELS[name]}: {v.decision}{suffix}")
+        lines.append(f"- {_VERDICT_LABELS[name]}: {v.decision}  [{_witness_hint(v)}]")
     if report.crossed_product_supernatural is not None:
         lines.append(
             f"- crossed product supernatural number: {report.crossed_product_supernatural}"

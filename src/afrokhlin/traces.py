@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import ActionSpec, FiniteActionError
+from .actions import ActionSpec
 from .classify import UNKNOWN, UndecidedError, extreme_trace_count
 from .intervals import RatInterval, collapse
 from .products import DEFAULT_CUTOFF, TailZero, gap_product_tail
@@ -78,10 +78,6 @@ class MixingMatrix:
         return collapse(new_r), collapse(new_s)
 
 
-def mixing_matrix(lam: Weight) -> MixingMatrix:
-    return MixingMatrix(lam)
-
-
 def invariant_trace_vector(spec: ActionSpec, n: int) -> TraceVector:
     """The flip-fixed trace weights: exactly (1/2, 1/2) at every stage."""
     if n < 0:
@@ -115,19 +111,7 @@ def extreme_trace_vector(
     # the tail settles by the cutoff, so the tail product is decided
     result = gap_product_tail(spec, n, cutoff)
     tail = 0 if isinstance(result, TailZero) else RatInterval(result.lower, result.upper)
-    (r, s), _ = mixing_matrix(tail).entries
+    (r, s), _ = MixingMatrix(tail).entries
     if extreme == 1:
         return TraceVector(n, r, s)
     return TraceVector(n, s, r)
-
-
-def trace_of_element(spec: ActionSpec, el, tv: TraceVector) -> Weight:
-    """Pair a stage K0 vector with a stage trace: (r*a + s*b) / t(n)."""
-    if el.stage != tv.stage:
-        raise ValueError(
-            f"stage mismatch: element at {el.stage}, trace vector at {tv.stage}"
-        )
-    if el.stage > 0 and spec.tail is None and el.stage > len(spec.prefix):
-        raise FiniteActionError("stage beyond the final factor of a finite action")
-    total = spec.total_size(el.stage)
-    return collapse((RatInterval.hull(tv.r) * el.a + tv.s * el.b) / total)

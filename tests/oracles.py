@@ -2,7 +2,8 @@
 
 Each oracle takes a route the implementation under test never uses:
 condensation is checked by literally tensoring diagonal sign matrices and
-counting eigenvalues, positivity by brute-force search over the reachable
+counting eigenvalues, push-forwards by the stage matrices applied one stage
+at a time, positivity by brute-force search over the reachable
 stages of a truncated system plus the exact end rule of a known tail, tail
 products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace
@@ -15,6 +16,7 @@ recomputing the saturation of the base at every step.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -45,6 +47,31 @@ def sign_tensor_counts(pairs) -> tuple[int, int]:
         vec = [a * b for a in vec for b in factor]
     plus = sum(1 for x in vec if x > 0)
     return (max(plus, len(vec) - plus), min(plus, len(vec) - plus))
+
+
+@dataclass(frozen=True)
+class TransitionMatrix:
+    """Stage map [[p, q], [q, p]] on Z^2, built from normalized factor ranks."""
+
+    p: int
+    q: int
+
+    def __post_init__(self):
+        if not (self.p >= self.q >= 0) or self.p + self.q < 1:
+            raise ValueError(f"bad transition ranks ({self.p}, {self.q})")
+
+    @property
+    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        return ((self.p, self.q), (self.q, self.p))
+
+    def apply(self, vec: tuple[int, int]) -> tuple[int, int]:
+        a, b = vec
+        return (self.p * a + self.q * b, self.q * a + self.p * b)
+
+
+def transition(spec: ActionSpec, n: int) -> TransitionMatrix:
+    f = spec.factor(n)
+    return TransitionMatrix(f.p, f.q)
 
 
 # Truncated-system tails the cone oracle knows exact end rules for.

@@ -13,6 +13,7 @@ from afrokhlin import (
     ActionSpec,
     FgAbPresentation,
     K0Element,
+    MixingMatrix,
     PeriodicTail,
     RankPair,
     RatInterval,
@@ -22,13 +23,11 @@ from afrokhlin import (
     fgab_colimit,
     fixture,
     flip,
-    gap,
     gap_product,
     is_equal,
     is_positive,
     is_totally_ordered,
     is_zero,
-    mixing_matrix,
     push_forward,
 )
 from afrokhlin.cantor import default_cover, greedy_tower, is_free, verify_tower
@@ -136,7 +135,7 @@ def test_acceptance_4_trace_parametrization():
         n: extreme_trace_vector(spec, 1, n, cutoff=DEPTH) for n in range(0, 21)
     }
     for n in range(1, 21):
-        r, s = mixing_matrix(gap(spec, n)).apply(vec[n].r, vec[n].s)
+        r, s = MixingMatrix(spec.factor(n).gap).apply(vec[n].r, vec[n].s)
         hull = RatInterval.hull(r)
         prev = RatInterval.hull(vec[n - 1].r)
         assert hull.width <= TOL and prev.width <= TOL
@@ -189,10 +188,10 @@ def _suite_mixing(rng) -> int:
     for _ in range(1000):
         lam = Fraction(rng.randint(0, 60), 60)
         mu = Fraction(rng.randint(0, 60), 60)
-        (a1, b1), _ = mixing_matrix(lam).entries
-        (a2, b2), _ = mixing_matrix(mu).entries
+        (a1, b1), _ = MixingMatrix(lam).entries
+        (a2, b2), _ = MixingMatrix(mu).entries
         same, cross = a1 * a2 + b1 * b2, a1 * b2 + b1 * a2
-        assert mixing_matrix(lam * mu).entries == ((same, cross), (cross, same))
+        assert MixingMatrix(lam * mu).entries == ((same, cross), (cross, same))
     return 1000
 
 

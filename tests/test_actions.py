@@ -17,7 +17,6 @@ from afrokhlin import (
     RankPair,
     SupernaturalNumber,
     fixture,
-    normalize,
     spec_from_json,
     spec_to_json,
     supernatural_of_algebra,
@@ -30,9 +29,9 @@ INF = math.inf
 
 
 def test_normalize_examples():
-    assert normalize(RankPair(1, 3)) == RankPair(3, 1)
-    assert normalize(RankPair(3, 1)) == RankPair(3, 1)
-    assert normalize(RankPair(2, 2)) == RankPair(2, 2)
+    assert RankPair(1, 3).normalized() == RankPair(3, 1)
+    assert RankPair(3, 1).normalized() == RankPair(3, 1)
+    assert RankPair(2, 2).normalized() == RankPair(2, 2)
 
 
 def test_zero_size_factor_rejected():
@@ -46,8 +45,8 @@ def test_zero_size_factor_rejected():
 def test_normalize_idempotent(p, q):
     if p + q == 0:
         return
-    once = normalize(RankPair(p, q))
-    assert normalize(once) == once
+    once = RankPair(p, q).normalized()
+    assert once.normalized() == once
     assert once.p >= once.q
 
 
@@ -321,7 +320,7 @@ def test_partial_products_walk_is_lazy_and_unreduced():
         next(walk)
     assert spec.range_product(1, 3) == (0, 20)
     assert spec.range_product(2, 2) == (1, 1)
-    assert spec.total_size(3) == 80
+    assert spec.range_product(0, 3) == (0, 80)
     for m, n in ((-1, 2), (2, 1)):
         with pytest.raises(ValueError):
             spec.range_product(m, n)

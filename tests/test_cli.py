@@ -456,6 +456,13 @@ GSET = {
         (GSET, [["a"], [1]], "cover entry 1 names unknown element 1"),
         (GSET, [["a"], ["z"]], "cover entry 1 names unknown element 'z'"),
         ({**GSET, "elements": ["a", "a", "b", "b"]}, None, "element name 'a' is repeated"),
+        ([GSET], None, "G-set document must be a JSON object"),
+        ({**GSET, "action": {}}, None, "'action' must be a list of rows"),
+        (GSET, {"a": ["b"]}, "cover document must be a list of element-name lists"),
+        ({**GSET, "group": {"table": []}}, None, "group must have at least one element"),
+        ({**GSET, "elements": [], "action": [[], []]}, None, "the acted-on set must be nonempty"),
+        ({**GSET, "group": {"table": [[0, 1], [1]]}}, None, "multiplication table must be square"),
+        ({**GSET, "action": [[0, 1, 2, 3], [1, 0]]}, None, "action table must have one row of size |X|"),
     ],
     ids=[
         "table-row-number",
@@ -467,6 +474,13 @@ GSET = {
         "cover-name-number",
         "cover-name-unknown",
         "repeated-element-name",
+        "gset-not-object",
+        "action-not-list",
+        "cover-not-list",
+        "empty-group",
+        "empty-set",
+        "table-not-square",
+        "action-row-short",
     ],
 )
 def test_malformed_cantor_documents_are_input_errors(gset, cover, message, tmp_path, capsys):
@@ -479,6 +493,74 @@ def test_malformed_cantor_documents_are_input_errors(gset, cover, message, tmp_p
     rc, out, err = in_process(argv, capsys)
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+FINITE = {"name": "fin", "prefix": [[3, 1], [2, 0]], "tail": {"kind": "none"}}
+AFFINE = {"kind": "affine_power", "B": 2, "A": 1, "alpha": 1, "beta": 0, "gamma": 0, "delta": 0}
+
+
+@pytest.mark.parametrize(
+    "doc,argv,code,line",
+    [
+        ([FINITE], ["classify"], 2, "error: action document must be a JSON object"),
+        ({**FINITE, "prefix": {}}, ["classify"], 2, "error: 'prefix' must be a list of [p, q] pairs"),
+        ({**FINITE, "tail": []}, ["classify"], 2, "error: 'tail' must be an object with a 'kind' field"),
+        ({**FINITE, "prefix": []}, ["classify"], 2, "error: finite action needs at least one factor"),
+        (
+            {**FINITE, "tail": {**AFFINE, "alpha": 2, "gamma": -1}},
+            ["classify"],
+            2,
+            "error: affine tail rank coefficients must be nonnegative",
+        ),
+        (
+            {**FINITE, "tail": {**AFFINE, "delta": 0.5}},
+            ["classify"],
+            2,
+            "error: affine tail needs integer field 'delta'",
+        ),
+        (
+            FINITE,
+            ["condense", "--range", "0..2"],
+            0,
+            "factors 1..2 of 'fin' condense to (6, 2) in M_8 with gap ratio 1/2",
+        ),
+        (
+            FINITE,
+            ["classify"],
+            2,
+            "error: action 'fin' has only finitely many factors; "
+            "classification verdicts are defined for infinite actions only",
+        ),
+        (
+            FINITE,
+            ["ktheory", "--element", "1,0@0", "--query", "positive"],
+            2,
+            "error: positivity needs an infinite action",
+        ),
+        (None, ["traces", "car2", "--stage", "-1", "--extreme", "inv"], 2, "error: stage must be >= 0"),
+    ],
+    ids=[
+        "action-not-object",
+        "prefix-not-list",
+        "tail-not-object",
+        "no-factors",
+        "negative-coefficient",
+        "float-field",
+        "finite-condense",
+        "finite-classify",
+        "finite-positive",
+        "negative-stage",
+    ],
+)
+def test_outside_input_errors_in_process(doc, argv, code, line, tmp_path, capsys):
+    # each input check answers with one line: stdout on exit 0, stderr on exit 2
+    if doc is not None:
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        argv = [argv[0], str(path), *argv[1:]]
+    rc, out, err = in_process(argv, capsys)
+    assert rc == code
+    assert (out, err) == ((line + "\n", "") if code == 0 else ("", line + "\n"))
 
 
 def test_deeply_nested_documents_are_input_errors(tmp_path, capsys):

@@ -15,7 +15,6 @@ from afrokhlin import (
     classification_report,
     condense,
     fixture,
-    gap,
     gap_product,
     gap_product_tail,
     is_positive,
@@ -33,11 +32,11 @@ from specgen import random_factor_list, random_periodic, random_spec
 
 
 def test_gap_examples():
-    assert gap(fixture("car2"), 2) == Fraction(1, 2)
-    assert gap(fixture("car3"), 3) == Fraction(3, 4)
+    assert fixture("car2").factor(2).gap == Fraction(1, 2)
+    assert fixture("car3").factor(3).gap == Fraction(3, 4)
     spec = ActionSpec("sym", (RankPair(4, 4),), PeriodicTail((RankPair(1, 1),)))
-    assert gap(spec, 1) == 0
-    assert gap(spec, 17) == 0
+    assert spec.factor(1).gap == 0
+    assert spec.factor(17).gap == 0
 
 
 def test_gap_product_examples():
@@ -108,7 +107,7 @@ def test_condense_multiplicative_and_structure():
             assert whole.gap == left.gap * right.gap
         # structural consequences of the construction (on normalized factors)
         normed = [f.normalized() for f in factors]
-        assert whole.size == spec.total_size(n)
+        assert whole.size == spec.range_product(0, n)[1]
         if any(f.symmetric for f in normed):
             assert whole.symmetric
         if all(f.p > f.q for f in normed):
@@ -204,7 +203,7 @@ def test_tail_isolated_zero_located():
     # raw rank difference vanishes exactly at tail position 2
     tail = AffinePowerTail(B=2, A=1, alpha=1, beta=-2, gamma=0, delta=2)
     spec = ActionSpec("iso", (RankPair(3, 0),), tail)
-    assert gap(spec, 3) == 0  # absolute index of the isolated zero
+    assert spec.factor(3).gap == 0  # absolute index of the isolated zero
     zero = gap_product_tail(spec, 0)
     assert isinstance(zero, TailZero) and zero.zero_index == 3
     past = gap_product_tail(spec, 3)
@@ -218,7 +217,7 @@ def test_first_zero_gap_matches_brute_scan():
         stage = rng.randint(0, 6)
         got = first_zero_gap_after(spec, stage)
         brute = next(
-            (n for n in range(stage + 1, stage + 200) if gap(spec, n) == 0), None
+            (n for n in range(stage + 1, stage + 200) if spec.factor(n).gap == 0), None
         )
         if got is None:
             assert brute is None

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from afrokhlin import (
     ActionSpec,
-    K0Element,
+    MixingMatrix,
     PeriodicTail,
     RankPair,
     RatInterval,
@@ -16,10 +16,7 @@ from afrokhlin import (
     UniqueTraceError,
     extreme_trace_vector,
     fixture,
-    gap,
     invariant_trace_vector,
-    mixing_matrix,
-    trace_of_element,
 )
 from afrokhlin.traces import TraceVector
 from oracles import exact_gap_product_tail
@@ -33,10 +30,10 @@ def entries(m):
 
 
 def test_mixing_matrix_examples():
-    assert entries(mixing_matrix(Fraction(1))) == ((1, 0), (0, 1))
+    assert entries(MixingMatrix(Fraction(1))) == ((1, 0), (0, 1))
     h = Fraction(1, 2)
-    assert entries(mixing_matrix(Fraction(0))) == ((h, h), (h, h))
-    assert entries(mixing_matrix(h)) == (
+    assert entries(MixingMatrix(Fraction(0))) == ((h, h), (h, h))
+    assert entries(MixingMatrix(h)) == (
         (Fraction(3, 4), Fraction(1, 4)),
         (Fraction(1, 4), Fraction(3, 4)),
     )
@@ -44,20 +41,20 @@ def test_mixing_matrix_examples():
 
 def test_mixing_matrix_rejects_out_of_range():
     with pytest.raises(ValueError):
-        mixing_matrix(Fraction(3, 2))
+        MixingMatrix(Fraction(3, 2))
     with pytest.raises(ValueError):
-        mixing_matrix(Fraction(-1, 2))
+        MixingMatrix(Fraction(-1, 2))
 
 
 @settings(max_examples=300, deadline=None)
 @given(unit_fractions, unit_fractions)
 def test_mixing_matrix_multiplicative(lam, mu):
-    (a1, b1), _ = entries(mixing_matrix(lam))
-    (a2, b2), _ = entries(mixing_matrix(mu))
+    (a1, b1), _ = entries(MixingMatrix(lam))
+    (a2, b2), _ = entries(MixingMatrix(mu))
     # generic 2x2 product of the two symmetric stochastic matrices
     same = a1 * a2 + b1 * b2
     cross = a1 * b2 + b1 * a2
-    assert entries(mixing_matrix(lam * mu)) == ((same, cross), (cross, same))
+    assert entries(MixingMatrix(lam * mu)) == ((same, cross), (cross, same))
 
 
 def test_invariant_vector_is_half_half():
@@ -146,7 +143,7 @@ def test_compatibility_recursion_car3():
     prev = extreme_trace_vector(spec, 1, 0, cutoff=40)
     for n in range(1, 13):
         cur = extreme_trace_vector(spec, 1, n, cutoff=40)
-        r, s = mixing_matrix(gap(spec, n)).apply(cur.r, cur.s)
+        r, s = MixingMatrix(spec.factor(n).gap).apply(cur.r, cur.s)
         hull_r = RatInterval.hull(r)
         hull_prev = RatInterval.hull(prev.r)
         assert hull_r.intersects(hull_prev)
@@ -164,32 +161,9 @@ def test_extreme_vectors_converge_to_endpoint():
     assert lowers[-1] > Fraction(99, 100)
 
 
-def test_trace_of_element_examples():
-    spec = fixture("car3")
-    n = 2
-    t = spec.total_size(n)  # 2 * 4
-    from afrokhlin.traces import TraceVector
-
-    full = trace_of_element(spec, K0Element(n, t, 0), TraceVector(n, Fraction(1), Fraction(0)))
-    assert full == 1
-    inv = invariant_trace_vector(spec, n)
-    assert trace_of_element(spec, K0Element(n, 1, 1), inv) == Fraction(1, t)
-    # order unit has trace one under any weight pair
-    tv = extreme_trace_vector(spec, 1, n, cutoff=40)
-    unit = trace_of_element(spec, K0Element(n, t, t), tv)
-    value = RatInterval.hull(unit)
-    assert 1 in value and value.width <= Fraction(1, 10**8)
-
-
 def test_trace_of_eta_car3():
+    # eta = (1, -1) at stage 1 pairs with (r, s) to (r - s) / t(1), t(1) = 2
     spec = fixture("car3")
     tv = extreme_trace_vector(spec, 1, 1, cutoff=40)
-    value = RatInterval.hull(trace_of_element(spec, K0Element(1, 1, -1), tv))
+    value = (RatInterval.hull(tv.r) - tv.s) / spec.factor(1).size
     assert Fraction("0.1443") <= value.lo <= value.hi <= Fraction("0.1444")
-
-
-def test_trace_stage_mismatch_rejected():
-    spec = fixture("car3")
-    tv = invariant_trace_vector(spec, 2)
-    with pytest.raises(ValueError):
-        trace_of_element(spec, K0Element(3, 1, 0), tv)
