@@ -62,6 +62,9 @@ file.  Run from anywhere:
 
     python3 scripts/output_digest.py
 
+``digests()`` returns the six computed digests by name;
+``tests/test_output_digest.py`` compares them with that file in-process.
+
 It imports the package from the ``src`` directory next to this script.
 """
 
@@ -429,8 +432,9 @@ def cantor_digest() -> str:
     return digest.hexdigest()
 
 
-if __name__ == "__main__":
-    computed = {
+def digests() -> dict[str, str]:
+    """The six digests by name, each printed with its counts as it is computed."""
+    return {
         "main": main_digest(),
         "positivity": positivity_digest(),
         "cantor": cantor_digest(),
@@ -438,6 +442,10 @@ if __name__ == "__main__":
         "ranges": ranges_digest(),
         "frontend": frontend_digest(),
     }
+
+
+if __name__ == "__main__":
+    computed = digests()
     recorded = json.loads(RECORDED.read_text(encoding="utf-8"))
     differ = [name for name, value in computed.items() if recorded.get(name) != value]
     for name in differ:

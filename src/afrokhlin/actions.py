@@ -110,9 +110,7 @@ class PeriodicTail:
         return cycle(ring[k:] + ring[:k])
 
     def first_zero_gap(self, j: int) -> int | None:
-        if not any(p.symmetric for p in self.pairs):
-            return None
-        return next(i for i in range(j, j + self.period) if self.pair_at(i).symmetric)
+        return next((i for i in range(j, j + self.period) if self.pair_at(i).symmetric), None)
 
     def _recurring(self, n0: int, kind: str, holds) -> dict | None:
         for i, pair in enumerate(self.pairs):
@@ -521,26 +519,8 @@ class SupernaturalNumber:
     def one() -> "SupernaturalNumber":
         return SupernaturalNumber(())
 
-    @staticmethod
-    def of_int(n: int) -> "SupernaturalNumber":
-        return SupernaturalNumber(tuple(_factorize(n).items()))
-
-    @staticmethod
-    def from_dict(d: dict[int, int | float]) -> "SupernaturalNumber":
-        return SupernaturalNumber(tuple(d.items()))
-
     def as_dict(self) -> dict[int, int | float]:
         return dict(self.exponents)
-
-    def exponent(self, prime: int) -> int | float:
-        return dict(self.exponents).get(prime, 0)
-
-    def __mul__(self, other: "SupernaturalNumber") -> "SupernaturalNumber":
-        acc = dict(self.exponents)
-        for prime, exp in other.exponents:
-            cur = acc.get(prime, 0)
-            acc[prime] = math.inf if math.inf in (cur, exp) else cur + exp
-        return SupernaturalNumber(tuple(acc.items()))
 
     def to_json(self) -> dict[str, int | str]:
         return {str(p): ("inf" if e == math.inf else e) for p, e in self.exponents}

@@ -160,7 +160,6 @@ class FiniteGSet:
                 continue
             for x in compress(range(self.size), map(eq, row, range(self.size))):
                 return g, x
-        return None
 
 
 # JSON true and false index like 1 and 0, so they count as integers here.

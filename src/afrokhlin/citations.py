@@ -8,17 +8,10 @@ verdict rests on.  Free-text citations are not allowed anywhere else.
 from __future__ import annotations
 
 CITATIONS: dict[str, str] = {
-    "crossed-product-structure": (
-        "The crossed product of a product-type order-two symmetry is the colimit "
-        "of pairs of matrix summands of size t(n), where the stage map has "
-        "straight multiplicity p_n and crossed multiplicity q_n and the dual "
-        "symmetry swaps the two summands."
-    ),
     "crossed-product-af": (
         "Crossed products of product-type order-two symmetries are unital AF "
         "algebras: colimits of finite-dimensional algebras."
     ),
-    "af-k1": "AF algebras have vanishing K1.",
     "k0-colimit": (
         "K0 of the crossed product is the colimit of Z^2 under the symmetric "
         "rank matrices [[p_n, q_n], [q_n, p_n]]; the dual symmetry acts as the "
@@ -53,10 +46,6 @@ CITATIONS: dict[str, str] = {
         "vanishes; equivalently the crossed product has a unique tracial state, "
         "equivalently the dual symmetry fixes every tracial state."
     ),
-    "two-extreme-traces": (
-        "When some tail gap product is positive the crossed product has exactly "
-        "two extreme tracial states, and the dual symmetry exchanges them."
-    ),
     "outerness-criterion": (
         "The symmetry is outer exactly when infinitely many factors have nonzero "
         "smaller rank (gap ratio < 1), which holds exactly when the crossed "
@@ -71,11 +60,6 @@ CITATIONS: dict[str, str] = {
         "A UHF algebra is classified by its supernatural number; when the crossed "
         "product is UHF it is the colimit of matrix algebras of size t(n) and so "
         "shares the supernatural number of the ambient algebra."
-    ),
-    "trace-parametrization": (
-        "Tracial states of the crossed product correspond to stage weight pairs "
-        "(r_n, s_n) obtained by applying the doubly stochastic mixing matrix of "
-        "the tail gap product at stage n to an endpoint parameter (r, 1 - r)."
     ),
     "dual-tracial-duality": (
         "The symmetry has the tracial Rokhlin property exactly when the dual "

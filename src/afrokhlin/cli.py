@@ -32,13 +32,10 @@ from pathlib import Path
 from .actions import (
     ActionSpec,
     FactorRangeError,
-    FiniteActionError,
     InvalidActionSpec,
     spec_from_json,
 )
 from .cantor import (
-    InvalidCover,
-    InvalidGSet,
     NotFreeError,
     cover_from_json,
     default_cover,
@@ -437,10 +434,6 @@ def main(argv=None) -> int:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     except (
-        InvalidActionSpec,
-        InvalidGSet,
-        InvalidCover,
-        FiniteActionError,
         FactorRangeError,
         OSError,
         ValueError,
@@ -451,7 +444,3 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

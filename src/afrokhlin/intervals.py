@@ -44,9 +44,6 @@ class RatInterval:
     def __contains__(self, x: RationalLike) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -95,14 +92,14 @@ def collapse(x: RatInterval) -> Fraction | RatInterval:
     return x.lo if x.is_exact else x
 
 
-def round_down(x: Fraction, digits: int = 12) -> Fraction:
-    """Largest decimal fraction with the given precision that is <= x.
+def round_down(x: Fraction) -> Fraction:
+    """Largest decimal fraction with 12 digits after the point that is <= x.
 
     Strict positivity is preserved: the precision grows until a positive x
     stays positive, so rounded enclosures remain valid certificates.
     """
     x = Fraction(x)
-    scale = 10**digits
+    scale = 10**12
     out = Fraction(x.numerator * scale // x.denominator, scale)
     while x > 0 and out <= 0:
         scale *= 10**6
@@ -122,10 +119,10 @@ def round_down_above(x: Fraction, bound: Fraction) -> Fraction:
     return out
 
 
-def round_up(x: Fraction, digits: int = 12) -> Fraction:
-    """Smallest decimal fraction with the given precision that is >= x."""
-    return -round_down(-Fraction(x), digits)
+def round_up(x: Fraction) -> Fraction:
+    """Smallest decimal fraction with 12 digits after the point that is >= x."""
+    return -round_down(-Fraction(x))
 
 
-def round_outward(x: RatInterval, digits: int = 12) -> RatInterval:
-    return RatInterval(round_down(x.lo, digits), round_up(x.hi, digits))
+def round_outward(x: RatInterval) -> RatInterval:
+    return RatInterval(round_down(x.lo), round_up(x.hi))

@@ -236,8 +236,6 @@ def _identity(n: int) -> Matrix:
 
 def mat_mul(a, b) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if any(len(r) != inner for r in a):
-        raise ValueError(f"mat_mul needs every row of the left factor to have {inner} entries")
     return [
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
@@ -253,8 +251,6 @@ def _smith_diagonal(mat) -> list[int]:
     """
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    if any(len(r) != cols for r in mat):
-        raise ValueError("matrix must be rectangular")
     A = [[int(x) for x in r] for r in mat]
 
     def row_swap(i, j):
@@ -330,6 +326,8 @@ class FgAbPresentation:
     localizations: tuple[SupernaturalNumber, ...] = field(default=())
 
     def __post_init__(self):
+        if not all(isinstance(d, int) and not isinstance(d, bool) for d in self.torsion):
+            raise ValueError("invariant factors must be integers")
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
         if any(d < 2 for d in self.torsion):
@@ -343,7 +341,6 @@ class FgAbPresentation:
         if len(locs) != self.free_rank:
             raise ValueError("need one localization per free generator")
         object.__setattr__(self, "localizations", locs)
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
 
     def __str__(self) -> str:
         parts = []
@@ -455,14 +452,11 @@ def fgab_colimit(
             scaling *= M[i][i]
         if scaling == 0:
             continue
-        if abs(scaling) == 1:
-            locs.append(SupernaturalNumber.one())
-        else:
-            locs.append(
-                SupernaturalNumber(
-                    tuple((p, math.inf) for p in sorted(_factorize(abs(scaling))))
-                )
+        locs.append(
+            SupernaturalNumber(
+                tuple((p, math.inf) for p in sorted(_factorize(abs(scaling))))
             )
+        )
 
     if orders:
         composite = _identity(len(orders))

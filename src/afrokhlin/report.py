@@ -47,8 +47,6 @@ def jsonify(value):
     so parsing the string back as a Fraction loses nothing."""
     if isinstance(value, Fraction):
         return decimal_str(value)
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, SupernaturalNumber):
         return value.to_json()
     if isinstance(value, dict):

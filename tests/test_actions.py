@@ -141,18 +141,6 @@ def test_supernatural_requires_tail():
         supernatural_of_algebra(ActionSpec("finite", (RankPair(1, 0),), None))
 
 
-def test_supernatural_multiplication():
-    a = SupernaturalNumber.from_dict({2: 3, 3: INF})
-    b = SupernaturalNumber.from_dict({2: INF, 5: 1})
-    assert (a * b).as_dict() == {2: INF, 3: INF, 5: 1}
-    assert a * SupernaturalNumber.one() == a
-
-
-def test_supernatural_of_int():
-    assert SupernaturalNumber.of_int(360).as_dict() == {2: 3, 3: 2, 5: 1}
-    assert SupernaturalNumber.of_int(1).as_dict() == {}
-
-
 def test_json_round_trip_fixtures():
     for name in ("car1", "car2", "car3", "notcar"):
         spec = fixture(name)
@@ -273,7 +261,7 @@ def test_large_primes_skip_trial_division():
     assert _is_prime(big) and _is_prime(999_999_999_989)
     assert _factorize(2 * big) == {2: 1, big: 1}
     assert _factorize(1024 * 999_983 * 1_000_003) == {2: 10, 999_983: 1, 1_000_003: 1}
-    assert SupernaturalNumber(((big, 1),)).exponent(big) == 1
+    assert SupernaturalNumber(((big, 1),)).exponents == ((big, 1),)
     with pytest.raises(ValueError, match="not prime"):
         SupernaturalNumber(((999_983 * 1_000_003, 1),))
 
@@ -292,7 +280,7 @@ def _trial_division(n: int) -> dict[int, int]:
 
 
 def test_factorize_matches_trial_division():
-    """Primes in increasing order, as SupernaturalNumber.of_int needs, for
+    """Primes in increasing order, as _factorize promises, for
     every n below 2 * 10**5 and 200 seeded semiprimes near 10**12 (some of
     them squares), which Pollard-Brent rho splits."""
     for n in range(1, 200_000):

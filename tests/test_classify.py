@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from afrokhlin import (
     tracial_rokhlin_verdict,
 )
 from afrokhlin import classify, traces
+from afrokhlin.citations import CITATIONS
 from afrokhlin.traces import UniqueTraceError
 from specgen import random_pair, random_spec
 
@@ -289,3 +292,15 @@ def test_classification_text_witness_hints(make_spec, line):
     from afrokhlin.report import classification_text
 
     assert line in classification_text(classification_report(make_spec())).splitlines()
+
+
+def test_every_anchor_is_cited():
+    """The registry holds exactly the anchors some ``cite()`` call in the
+    package names: no dead anchor, and no misspelled one."""
+    cited = set()
+    for path in Path(classify.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "cite":
+                assert all(isinstance(arg, ast.Constant) for arg in node.args), path
+                cited.update(arg.value for arg in node.args)
+    assert cited == set(CITATIONS)

@@ -414,11 +414,14 @@ def test_presentation_validation():
         FgAbPresentation(1, (1,))
     with pytest.raises(ValueError, match="invariant factors must be >= 2"):
         FgAbPresentation(0, (0, 4))  # checked before the divisibility loop divides by 0
+    for torsion in ((2.5, 5), (2, 4.0), (True, 2), ("2",)):
+        with pytest.raises(ValueError, match="invariant factors must be integers"):
+            FgAbPresentation(0, torsion)
     pres = FgAbPresentation(2, (2, 6))
     assert str(pres) == "Z (+) Z (+) Z/2 (+) Z/6"
     with pytest.raises(ValueError):
         fgab_colimit(
-            FgAbPresentation(1, (), (SupernaturalNumber.from_dict({2: INF}),)),
+            FgAbPresentation(1, (), (SupernaturalNumber(((2, INF),)),)),
             [[[1]]],
         )
 
@@ -559,9 +562,6 @@ def test_is_positive_exits(spec, el, cutoff, decision, witness):
     assert list(verdict.witness.items()) == list(witness.items())
 
 
-def test_mat_mul_rejects_mismatched_shapes():
+def test_mat_mul_products():
     assert mat_mul([[1, 2], [3, 4]], [[1], [1]]) == [[3], [7]]
     assert mat_mul([], [[1]]) == []
-    for a, b in (([[1, 2]], [[1, 2]]), ([[1], [1, 2]], [[1], [1]])):
-        with pytest.raises(ValueError, match="every row of the left factor"):
-            mat_mul(a, b)

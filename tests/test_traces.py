@@ -114,7 +114,8 @@ def test_extreme_vectors_match_exact_oracle():
                     else RatInterval(want.lower, want.upper)
                 )
                 for w, exact in ((tv.r, (1 + lam) / 2), (tv.s, (1 - lam) / 2)):
-                    assert RatInterval.hull(w).contains_interval(exact), (seed, n, cutoff)
+                    hull = RatInterval.hull(w)
+                    assert hull.lo <= exact.lo and exact.hi <= hull.hi, (seed, n, cutoff)
                     if exact.is_exact:
                         assert isinstance(w, Fraction), (seed, n, cutoff)
                     else:
