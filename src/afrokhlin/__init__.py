@@ -53,7 +53,6 @@ from .products import (
     gap_product_tail,
 )
 from .traces import (
-    MixingMatrix,
     TraceVector,
     UniqueTraceError,
     extreme_trace_vector,

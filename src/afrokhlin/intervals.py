@@ -1,15 +1,15 @@
-"""Exact interval arithmetic with rational endpoints.
+"""The enclosure value and directed decimal rounding.
 
-Endpoints are `fractions.Fraction`, so enclosures are certified without any
-floating-point rounding.
+A `RatInterval` is a validated pair of `fractions.Fraction` ends lo <= hi, so
+enclosures are certified without any floating-point rounding.  The rounding
+helpers turn an exact rational into a short decimal certificate that lies
+below it, above it, or below it but still above a given bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-RationalLike = Fraction | int
 
 
 @dataclass(frozen=True)
@@ -24,72 +24,10 @@ class RatInterval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @staticmethod
-    def exact(x: RationalLike) -> "RatInterval":
-        x = Fraction(x)
-        return RatInterval(x, x)
-
-    @staticmethod
-    def hull(x) -> "RatInterval":
-        return x if isinstance(x, RatInterval) else RatInterval.exact(x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
-    def __contains__(self, x: RationalLike) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
-    def intersects(self, other: "RatInterval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
-    def __add__(self, other):
-        other = RatInterval.hull(other)
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-RatInterval.hull(other))
-
-    def __rsub__(self, other):
-        return RatInterval.hull(other) + (-self)
-
-    def __mul__(self, other):
-        other = RatInterval.hull(other)
-        corners = [
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        ]
-        return RatInterval(min(corners), max(corners))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, den: RationalLike):
-        den = Fraction(den)
-        if den == 0:
-            raise ZeroDivisionError("interval divided by zero")
-        ends = sorted((self.lo / den, self.hi / den))
-        return RatInterval(ends[0], ends[1])
-
     def __str__(self) -> str:
-        if self.is_exact:
+        if self.lo == self.hi:
             return str(self.lo)
         return f"[{self.lo}, {self.hi}]"
-
-
-def collapse(x: RatInterval) -> Fraction | RatInterval:
-    """Return the single rational when an interval is exact."""
-    return x.lo if x.is_exact else x
 
 
 def round_down(x: Fraction) -> Fraction:
@@ -122,7 +60,3 @@ def round_down_above(x: Fraction, bound: Fraction) -> Fraction:
 def round_up(x: Fraction) -> Fraction:
     """Smallest decimal fraction with 12 digits after the point that is >= x."""
     return -round_down(-Fraction(x))
-
-
-def round_outward(x: RatInterval) -> RatInterval:
-    return RatInterval(round_down(x.lo), round_up(x.hi))

@@ -326,6 +326,8 @@ class FgAbPresentation:
     localizations: tuple[SupernaturalNumber, ...] = field(default=())
 
     def __post_init__(self):
+        if not isinstance(self.free_rank, int) or isinstance(self.free_rank, bool):
+            raise ValueError("free rank must be an integer")
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in self.torsion):
             raise ValueError("invariant factors must be integers")
         if self.free_rank < 0:

@@ -13,7 +13,7 @@ from . import __version__
 from .actions import ActionSpec, SupernaturalNumber, spec_to_json
 from .citations import CITATIONS
 from .classify import ALWAYS_TRUE_FACTS, ClassificationReport, Verdict
-from .intervals import RatInterval, round_outward
+from .intervals import RatInterval, round_down, round_up
 from .ktheory import FgAbPresentation, K0Element
 from .traces import TraceVector, Weight
 
@@ -176,8 +176,7 @@ def weight_json(w: Weight) -> str | dict:
     """An exact weight as a decimal string; an interval weight rounded outward
     to 12 digits as {"lo", "hi"}."""
     if isinstance(w, RatInterval):
-        w = round_outward(w)
-        return {"lo": decimal_str(w.lo), "hi": decimal_str(w.hi)}
+        return {"lo": decimal_str(round_down(w.lo)), "hi": decimal_str(round_up(w.hi))}
     return decimal_str(w)
 
 

@@ -1,12 +1,15 @@
-"""Trace simplex of the crossed product, parametrized through mixing matrices.
+"""Trace simplex of the crossed product, read from the certified tail product.
 
 A tracial state restricts at stage n to a weight pair (r_n, s_n) with
 r_n + s_n = 1, one weight per matrix summand.  Consecutive stages are linked
-by the doubly stochastic mixing matrix of the stage gap ratio, and the whole
-simplex is swept out by applying the mixing matrix of the certified tail gap
-product to an endpoint parameter (r, 1 - r).  When every tail product
-vanishes the simplex is a point and only the flip-invariant trace (1/2, 1/2)
-exists; extreme-trace queries then refuse.
+by the doubly stochastic mixing matrix [[(1 + g)/2, (1 - g)/2], [(1 - g)/2,
+(1 + g)/2]] of the stage gap ratio g.  These matrices multiply like their
+parameters, so the simplex is swept out by the matrix of the tail gap product
+L applied to an endpoint (r, 1 - r); its two extreme traces have weights
+((1 + L)/2, (1 - L)/2) and the swap.  Both ends of the certified enclosure of
+L map to ends of the weight enclosures, so no interval arithmetic is needed.
+When every tail product vanishes the simplex is a point and only the
+flip-invariant trace (1/2, 1/2) exists; extreme-trace queries then refuse.
 
 A weight is a `Fraction` when it is known exactly and otherwise a
 `RatInterval` with lo < hi that encloses it; every weight lies in [0, 1].
@@ -19,18 +22,18 @@ from fractions import Fraction
 
 from .actions import ActionSpec
 from .classify import UNKNOWN, UndecidedError, extreme_trace_count
-from .intervals import RatInterval, collapse
+from .intervals import RatInterval
 from .products import DEFAULT_CUTOFF, TailZero, gap_product_tail
 
 Weight = Fraction | RatInterval
 
 
-def _unit_hull(w: Weight, what: str) -> RatInterval:
-    """The enclosure of w, which must lie inside [0, 1]."""
-    hull = RatInterval.hull(w)
-    if hull.lo < 0 or hull.hi > 1:
+def _unit_ends(w: Weight, what: str) -> tuple[Fraction, Fraction]:
+    """The ends of w, which must lie inside [0, 1]."""
+    lo, hi = (w.lo, w.hi) if isinstance(w, RatInterval) else (w, w)
+    if lo < 0 or hi > 1:
         raise ValueError(f"{what} must lie in [0, 1], got {w}")
-    return hull
+    return lo, hi
 
 
 class UniqueTraceError(ValueError):
@@ -46,36 +49,11 @@ class TraceVector:
     s: Weight
 
     def __post_init__(self):
-        total = _unit_hull(self.r, "trace weight r") + _unit_hull(self.s, "trace weight s")
-        if 1 not in total:
-            raise ValueError(f"weights must sum to 1, got enclosure {total}")
-
-
-@dataclass(frozen=True)
-class MixingMatrix:
-    """The doubly stochastic matrix with entries (1 +- lam)/2.
-
-    Multiplicative in lam: the entrywise product of the matrices for lam and
-    mu is the matrix for lam * mu, and lam = 1 gives the identity.
-    """
-
-    lam: Weight
-
-    def __post_init__(self):
-        _unit_hull(self.lam, "mixing parameter")
-
-    @property
-    def entries(self) -> tuple[tuple[Weight, Weight], tuple[Weight, Weight]]:
-        lam = RatInterval.hull(self.lam)
-        same = collapse((1 + lam) / 2)
-        cross = collapse((1 - lam) / 2)
-        return ((same, cross), (cross, same))
-
-    def apply(self, r: Weight, s: Weight) -> tuple[Weight, Weight]:
-        (same, cross), _ = self.entries
-        new_r = RatInterval.hull(same) * r + cross * s
-        new_s = RatInterval.hull(cross) * r + same * s
-        return collapse(new_r), collapse(new_s)
+        r_lo, r_hi = _unit_ends(self.r, "trace weight r")
+        s_lo, s_hi = _unit_ends(self.s, "trace weight s")
+        lo, hi = r_lo + s_lo, r_hi + s_hi
+        if not lo <= 1 <= hi:
+            raise ValueError(f"weights must sum to 1, got enclosure {RatInterval(lo, hi)}")
 
 
 def invariant_trace_vector(spec: ActionSpec, n: int) -> TraceVector:
@@ -110,8 +88,12 @@ def extreme_trace_vector(
         )
     # the tail settles by the cutoff, so the tail product is decided
     result = gap_product_tail(spec, n, cutoff)
-    tail = 0 if isinstance(result, TailZero) else RatInterval(result.lower, result.upper)
-    (r, s), _ = MixingMatrix(tail).entries
+    lo, hi = (0, 0) if isinstance(result, TailZero) else (result.lower, result.upper)
+    if lo == hi:
+        r, s = Fraction(1 + lo, 2), Fraction(1 - lo, 2)
+    else:
+        r = RatInterval((1 + lo) / 2, (1 + hi) / 2)
+        s = RatInterval((1 - hi) / 2, (1 - lo) / 2)
     if extreme == 1:
         return TraceVector(n, r, s)
     return TraceVector(n, s, r)

@@ -3,8 +3,9 @@
 Each oracle takes a route the implementation under test never uses:
 condensation is checked by literally tensoring diagonal sign matrices and
 counting eigenvalues, push-forwards by the stage matrices applied one stage
-at a time, positivity by brute-force search over the reachable
-stages of a truncated system plus the exact end rule of a known tail, tail
+at a time, trace weights by the mixing matrices applied to their ends,
+positivity by brute-force search over the reachable stages of a truncated
+system plus the exact end rule of a known tail, tail
 products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace
 and by the rounded loop over whole factors read one index at a time,
@@ -72,6 +73,35 @@ class TransitionMatrix:
 def transition(spec: ActionSpec, n: int) -> TransitionMatrix:
     f = spec.factor(n)
     return TransitionMatrix(f.p, f.q)
+
+
+@dataclass(frozen=True)
+class MixingMatrix:
+    """The doubly stochastic matrix with entries (1 +- lam)/2, for exact lam in [0, 1].
+
+    Multiplicative in lam: the product of the matrices for lam and mu is the
+    matrix for lam * mu, and lam = 1 gives the identity.
+    """
+
+    lam: Fraction
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+        same, cross = (1 + self.lam) / 2, (1 - self.lam) / 2
+        return ((same, cross), (cross, same))
+
+    def apply(self, r: tuple[Fraction, Fraction], s: tuple[Fraction, Fraction]):
+        """Map weight enclosures r = (lo, hi) and s = (lo, hi) to enclosures of
+        the weights one stage earlier; the entries are >= 0, so ends go to ends."""
+        (same, cross), _ = self.entries
+        new_r = tuple(same * a + cross * b for a, b in zip(r, s))
+        new_s = tuple(cross * a + same * b for a, b in zip(r, s))
+        return new_r, new_s
+
+
+def weight_ends(w) -> tuple[Fraction, Fraction]:
+    """(lo, hi) of a trace weight: a Fraction, or an enclosure with .lo and .hi."""
+    return (w, w) if isinstance(w, Fraction) else (w.lo, w.hi)
 
 
 # Truncated-system tails the cone oracle knows exact end rules for.

@@ -51,7 +51,7 @@ ROWS = {
     ),
     "supernatural one": (lambda: str(SupernaturalNumber.one()), "1"),
     "bad decision": (lambda: Verdict("maybe", {}, ()), ValueError("bad decision 'maybe'")),
-    "exact interval": (lambda: str(RatInterval.exact(Fraction(1, 3))), "1/3"),
+    "exact interval": (lambda: str(RatInterval(Fraction(1, 3), Fraction(1, 3))), "1/3"),
     "negative stage": (lambda: K0Element(-1, 0, 0), ValueError("stage must be >= 0")),
     "localization count": (
         lambda: FgAbPresentation(2, (), (SupernaturalNumber.one(),)),
@@ -94,6 +94,10 @@ ROWS = {
     "weights not summing to 1": (
         lambda: TraceVector(2, Fraction(1, 4), Fraction(1, 4)),
         ValueError("weights must sum to 1, got enclosure 1/2"),
+    ),
+    "interval weights not summing to 1": (
+        lambda: TraceVector(1, RatInterval(Fraction(1, 4), Fraction(1, 3)), Fraction(1, 4)),
+        ValueError("weights must sum to 1, got enclosure [1/2, 7/12]"),
     ),
     "extreme 2": (
         lambda: extreme_trace_vector(CAR3, 2, 0),

@@ -414,6 +414,9 @@ def test_presentation_validation():
         FgAbPresentation(1, (1,))
     with pytest.raises(ValueError, match="invariant factors must be >= 2"):
         FgAbPresentation(0, (0, 4))  # checked before the divisibility loop divides by 0
+    for free_rank in (True, 1.5):  # checked before range() reads the rank
+        with pytest.raises(ValueError, match="free rank must be an integer"):
+            FgAbPresentation(free_rank)
     for torsion in ((2.5, 5), (2, 4.0), (True, 2), ("2",)):
         with pytest.raises(ValueError, match="invariant factors must be integers"):
             FgAbPresentation(0, torsion)
