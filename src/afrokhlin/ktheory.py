@@ -230,10 +230,6 @@ def is_totally_ordered(spec: ActionSpec) -> Verdict:
 Matrix = list[list[int]]
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b) -> Matrix:
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     return [
@@ -247,64 +243,43 @@ def _smith_diagonal(mat) -> list[int]:
 
     Unimodular row and column operations bring the matrix to a diagonal of
     nonnegative invariant factors dividing in sequence; the diagonal is read
-    off at the end.
+    off at the end.  Step t takes as pivot the entry of least nonzero size in
+    the block from (t, t) on, the first in row-major order among ties, swaps
+    it to (t, t) and reduces the rows below and the columns right of it by
+    floor division.  A remainder left in row or column t picks a new, smaller
+    pivot.  Once both are clear, the first lower row with an entry the pivot
+    does not divide is added to row t, and the step picks again.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    A = [[int(x) for x in r] for r in mat]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def row_add(i, j, c):
-        # A[i] += c * A[j]
-        A[i] = [x + c * y for x, y in zip(A[i], A[j])]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(j, i, c):
-        # column j += c * column i
-        for r in A:
-            r[j] += c * r[i]
-
-    def min_pos(t):
-        # the first entry of least nonzero size, in row-major order
-        cells = [(abs(A[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)]
-        return min((c for c in cells if c[0]), default=None)
-
+    A = [list(row) for row in mat]
+    rows, cols = len(A), len(A[0]) if A else 0
     for t in range(min(rows, cols)):
         # a zero block leaves the loop at once, with A[t][t] = 0
-        while (pivot := min_pos(t)) is not None:
-            _, i0, j0 = pivot
-            if i0 != t:
-                row_swap(t, i0)
-            if j0 != t:
-                col_swap(t, j0)
-            dirty = False
+        while cells := [
+            (abs(x), i, j) for i in range(t, rows) for j, x in enumerate(A[i][t:], t) if x
+        ]:
+            _, i0, j0 = min(cells)
+            A[t], A[i0] = A[i0], A[t]
+            for row in A:
+                row[t], row[j0] = row[j0], row[t]
+            pivot = A[t][t]
             for i in range(t + 1, rows):
-                if A[i][t] != 0:
-                    row_add(i, t, -(A[i][t] // A[t][t]))
-                    dirty = dirty or A[i][t] != 0
+                if q := A[i][t] // pivot:
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
             for j in range(t + 1, cols):
-                if A[t][j] != 0:
-                    col_add(j, t, -(A[t][j] // A[t][t]))
-                    dirty = dirty or A[t][j] != 0
-            if dirty:
+                if q := A[t][j] // pivot:
+                    for row in A:
+                        row[j] -= q * row[t]
+            if any(A[i][t] for i in range(t + 1, rows)) or any(A[t][t + 1:]):
                 continue
             offender = next(
-                (i for i in range(t + 1, rows) if any(x % A[t][t] for x in A[i][t + 1:])),
+                (i for i in range(t + 1, rows) if any(x % pivot for x in A[i][t + 1:])),
                 None,
             )
             if offender is None:
                 break
-            row_add(t, offender, 1)
+            A[t] = [x + y for x, y in zip(A[t], A[offender])]
         if A[t][t] < 0:
-            row_neg(t)
+            A[t] = [-x for x in A[t]]
     return [A[t][t] for t in range(min(rows, cols))]
 
 
@@ -342,6 +317,8 @@ class FgAbPresentation:
             locs = tuple(SupernaturalNumber.one() for _ in range(self.free_rank))
         if len(locs) != self.free_rank:
             raise ValueError("need one localization per free generator")
+        if not all(isinstance(loc, SupernaturalNumber) for loc in locs):
+            raise ValueError("localizations must be supernatural numbers")
         object.__setattr__(self, "localizations", locs)
 
     def __str__(self) -> str:
@@ -359,37 +336,37 @@ class FgAbPresentation:
 
 
 def _check_colimit_map(mat, free: int, orders: tuple[int, ...]) -> Matrix:
+    # a list or tuple of rows of ints; the first unsupported entry in
+    # row-major order is named
     size = free + len(orders)
-    M = [[int(x) for x in row] for row in mat]
-    if len(M) != size or any(len(r) != size for r in M):
+    if not (
+        isinstance(mat, (list, tuple))
+        and all(isinstance(row, (list, tuple)) for row in mat)
+        and all(isinstance(x, int) and not isinstance(x, bool) for row in mat for x in row)
+        and len(mat) == size
+        and all(len(row) == size for row in mat)
+    ):
         raise ValueError(f"colimit maps must be {size}x{size} integer matrices")
-    for i in range(free):
-        for j in range(free):
-            if i != j and M[i][j] != 0:
-                raise ValueError(
-                    "unsupported map: free block must be diagonal "
-                    f"(nonzero entry at ({i}, {j}))"
-                )
-        for j in range(free, size):
-            if M[i][j] != 0:
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if i >= free and j >= free:
+                di, dj = orders[i - free], orders[j - free]
+                if dj * x % di:
+                    raise ValueError(
+                        f"map is ill-defined on torsion: order {dj} generator "
+                        f"maps with coefficient {x} into Z/{di}"
+                    )
+            elif x and j >= free:
                 raise ValueError(
                     "map does not respect torsion: torsion generator "
                     f"{j - free} hits free generator {i}"
                 )
-    for i in range(len(orders)):
-        for j in range(free):
-            if M[free + i][j] != 0:
-                raise ValueError(
-                    "unsupported map: free generators may not feed torsion "
-                    f"(nonzero entry at ({free + i}, {j}))"
-                )
-        for j in range(len(orders)):
-            if (orders[j] * M[free + i][free + j]) % orders[i]:
-                raise ValueError(
-                    f"map is ill-defined on torsion: order {orders[j]} generator "
-                    f"maps with coefficient {M[free + i][free + j]} into Z/{orders[i]}"
-                )
-    return M
+            elif x and i != j:
+                rule = "free block must be diagonal"
+                if i >= free:
+                    rule = "free generators may not feed torsion"
+                raise ValueError(f"unsupported map: {rule} (nonzero entry at ({i}, {j}))")
+    return mat
 
 
 def _reduce_mod_orders(M: Matrix, orders: tuple[int, ...]) -> Matrix:
@@ -419,9 +396,9 @@ def _stable_image_factors(tb: Matrix, orders: tuple[int, ...]) -> tuple[int, ...
     k >= log2(order).  T is squared until its exponent 2^s passes that bound
     (2^s > bit_length(order)), and the subgroup of that power is computed
     once.  The colimit of the torsion part is the stable image (the map
-    restricts to an automorphism of it).
+    restricts to an automorphism of it).  T comes in reduced mod the orders.
     """
-    power = _reduce_mod_orders(tb, orders)
+    power = tb
     for _ in range(math.prod(orders).bit_length().bit_length()):
         power = _reduce_mod_orders(mat_mul(power, power), orders)
     return _subgroup_invariant_factors(power, orders)
@@ -447,29 +424,15 @@ def fgab_colimit(
     free, orders = initial.free_rank, initial.torsion
     cyc = [_check_colimit_map(M, free, orders) for M in cycle]
 
-    locs = []
-    for i in range(free):
-        scaling = 1
-        for M in cyc:
-            scaling *= M[i][i]
-        if scaling == 0:
-            continue
-        locs.append(
-            SupernaturalNumber(
-                tuple((p, math.inf) for p in sorted(_factorize(abs(scaling))))
-            )
-        )
-
-    if orders:
-        composite = _identity(len(orders))
-        for M in cyc:
-            block = [
-                [M[free + i][free + j] for j in range(len(orders))]
-                for i in range(len(orders))
-            ]
-            # maps apply left to right, so the composite is block @ previous
-            composite = _reduce_mod_orders(mat_mul(block, composite), orders)
-        torsion = _stable_image_factors(composite, orders)
-    else:
-        torsion = ()
-    return FgAbPresentation(len(locs), torsion, tuple(locs))
+    scalings = (math.prod(M[i][i] for M in cyc) for i in range(free))
+    locs = tuple(
+        SupernaturalNumber(tuple((p, math.inf) for p in _factorize(abs(scaling))))
+        for scaling in scalings
+        if scaling
+    )
+    blocks = ([row[free:] for row in M[free:]] for M in cyc)
+    composite = _reduce_mod_orders(next(blocks), orders)
+    for block in blocks:
+        # maps apply left to right, so the composite is block @ previous
+        composite = _reduce_mod_orders(mat_mul(block, composite), orders)
+    return FgAbPresentation(len(locs), _stable_image_factors(composite, orders), locs)

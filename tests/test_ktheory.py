@@ -26,7 +26,14 @@ from afrokhlin import (
     push_forward,
 )
 from afrokhlin.ktheory import _smith_diagonal, _subgroup_invariant_factors, mat_mul
-from oracles import ORACLE_TAILS, TransitionMatrix, cone_oracle, transition, truncated_spec
+from oracles import (
+    ORACLE_TAILS,
+    TransitionMatrix,
+    cone_oracle,
+    reference_smith_diagonal,
+    transition,
+    truncated_spec,
+)
 from specgen import random_factor_list, random_spec
 
 INF = float("inf")
@@ -242,6 +249,26 @@ def test_snf_randomized(rows, cols, data):
     check_snf(mat)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_snf_matches_reference(rows, cols, data):
+    """The pivot loop against the closure-based reference, on matrices up to
+    8 x 8 with large entries and with whole zero rows and columns."""
+    bound = data.draw(st.sampled_from([9, 10**6]))
+    entry = st.integers(min_value=-bound, max_value=bound)
+    mat = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    for i in data.draw(st.sets(st.integers(min_value=0, max_value=rows - 1))):
+        mat[i] = [0] * cols
+    for j in data.draw(st.sets(st.integers(min_value=0, max_value=cols - 1))):
+        for row in mat:
+            row[j] = 0
+    assert _smith_diagonal(mat) == reference_smith_diagonal(mat), mat
+
+
 # ----------------------------------------------------------------------------
 # Colimits of finitely generated abelian presentations
 
@@ -259,6 +286,9 @@ def test_colimit_identity_is_z():
     out = fgab_colimit(FgAbPresentation(1), [[[1]]])
     assert out.free_rank == 1 and out.torsion == ()
     assert str(out) == "Z"
+    # the zero group: 0 x 0 maps, a list or a tuple
+    assert str(fgab_colimit(FgAbPresentation(0), [[]])) == "0"
+    assert str(fgab_colimit(FgAbPresentation(0), [[], ()])) == "0"
 
 
 def test_colimit_kills_annihilated_generator():
@@ -389,20 +419,52 @@ def test_subgroup_invariant_factors_against_brute_force():
 
 def test_colimit_rejects_bad_maps():
     initial = FgAbPresentation(1, (2,))
-    with pytest.raises(ValueError):
-        # torsion generator feeding the free part
+    diagonal = r"free block must be diagonal \(nonzero entry at \(0, 1\)\)"
+    hits = "map does not respect torsion: torsion generator 0 hits free generator 0"
+    feeds = r"free generators may not feed torsion \(nonzero entry at \({}, 0\)\)"
+    with pytest.raises(ValueError, match=hits):
         fgab_colimit(initial, [[[1, 1], [0, 1]]])
-    with pytest.raises(ValueError):
-        # free generator feeding torsion
+    with pytest.raises(ValueError, match=feeds.format(1)):
         fgab_colimit(initial, [[[1, 0], [1, 1]]])
-    with pytest.raises(ValueError):
-        # non-diagonal free block
+    with pytest.raises(ValueError, match=diagonal):
         fgab_colimit(FgAbPresentation(2), [[[1, 1], [0, 1]]])
-    with pytest.raises(ValueError):
-        # ill-defined on torsion: Z/4 -> Z/8 with odd coefficient
+    with pytest.raises(ValueError, match="order 4 generator maps with coefficient 1 into Z/8"):
+        # Z/4 -> Z/8 with odd coefficient
         fgab_colimit(FgAbPresentation(0, (4, 8)), [[[1, 0], [1, 1]]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need a nonempty cycle of maps"):
         fgab_colimit(FgAbPresentation(1), [])
+    # two faults of different kinds: the first in row-major order is named
+    two_faults = [
+        (FgAbPresentation(2, (2,)), [[1, 1, 1], [0, 1, 0], [0, 0, 1]], diagonal),
+        (FgAbPresentation(2, (2,)), [[1, 0, 1], [1, 1, 0], [0, 0, 1]], hits),
+        (FgAbPresentation(1, (4, 8)), [[1, 0, 0], [0, 1, 0], [1, 1, 1]], feeds.format(2)),
+        (
+            FgAbPresentation(1, (2, 4, 8)),
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0], [1, 0, 0, 1]],
+            "order 2 generator maps with coefficient 1 into Z/4",
+        ),
+    ]
+    for initial, mat, message in two_faults:
+        with pytest.raises(ValueError, match=message):
+            fgab_colimit(initial, [mat])
+    # non-integer entries and non-sequence maps or rows are not read through int()
+    bad = "colimit maps must be 2x2 integer matrices"
+    for mat in (
+        [[3, 0], [0, 2.5]],
+        [[3, 0], [0, 3.9]],
+        [["3", 0], [0, 1]],
+        [[True, 0], [0, 1]],
+        [[3, 0], [0, Fraction(1)]],
+        [3, 0],
+        [(3, 0), 0],
+        "ab",
+        [[3, 0], [0, 1], [0]],
+        [[3, 0], [0, 2.5], [0]],
+    ):
+        with pytest.raises(ValueError, match=bad):
+            fgab_colimit(FgAbPresentation(1, (4,)), [mat])
+    out = fgab_colimit(FgAbPresentation(1, (4,)), [((3, 0), (0, 1))])
+    assert str(out) == "Z[1/3] (+) Z/4"
 
 
 def test_presentation_validation():
@@ -420,6 +482,9 @@ def test_presentation_validation():
     for torsion in ((2.5, 5), (2, 4.0), (True, 2), ("2",)):
         with pytest.raises(ValueError, match="invariant factors must be integers"):
             FgAbPresentation(0, torsion)
+    for loc in ({2: 1}, 2, None):
+        with pytest.raises(ValueError, match="localizations must be supernatural numbers"):
+            FgAbPresentation(1, (), (loc,))
     pres = FgAbPresentation(2, (2, 6))
     assert str(pres) == "Z (+) Z (+) Z/2 (+) Z/6"
     with pytest.raises(ValueError):
