@@ -5,7 +5,7 @@ showing the convergence of the stage weights to the endpoint (1, 0)."""
 import argparse
 
 from afrokhlin import extreme_trace_vector, fixture
-from afrokhlin.report import weight_str
+from afrokhlin.report import weight_json, weight_str
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
     for n in range(0, args.stages + 1):
         tv = extreme_trace_vector(spec, 1, n, cutoff=args.cutoff)
         g = spec.factor(n).gap if n >= 1 else "-"
-        print(f"{n:>3}  {str(g):>10}  {weight_str(tv.r)}")
+        print(f"{n:>3}  {str(g):>10}  {weight_str(weight_json(tv.r))}")
 
 
 if __name__ == "__main__":

@@ -174,10 +174,11 @@ def cmd_traces(args, spec: ActionSpec) -> Result:
         tv = extreme_trace_vector(spec, int(args.extreme), args.stage, args.cutoff)
         which = f"extreme{args.extreme}"
     doc = envelope("traces", spec, args.cutoff)
-    doc["traces"] = {"which": which, "vector": trace_vector_json(tv)}
+    vector = trace_vector_json(tv)
+    doc["traces"] = {"which": which, "vector": vector}
     text = (
         f"{which} trace weights of {spec.name!r} at stage {tv.stage}: "
-        f"r = {weight_str(tv.r)}, s = {weight_str(tv.s)}"
+        f"r = {weight_str(vector['r'])}, s = {weight_str(vector['s'])}"
     )
     return doc, text, False
 

@@ -1,7 +1,7 @@
 """The enclosure value and directed decimal rounding.
 
-A `RatInterval` is a validated pair of `fractions.Fraction` ends lo <= hi, so
-enclosures are certified without any floating-point rounding.  The rounding
+A `RatInterval` is a validated pair of `fractions.Fraction` ends lo <= hi (no
+floating point), exact when lo == hi; every trace weight is one.  The rounding
 helpers turn an exact rational into a short decimal certificate that lies
 below it, above it, or below it but still above a given bound.
 """
@@ -33,16 +33,23 @@ class RatInterval:
 def round_down(x: Fraction) -> Fraction:
     """Largest decimal fraction with 12 digits after the point that is <= x.
 
-    Strict positivity is preserved: the precision grows until a positive x
-    stays positive, so rounded enclosures remain valid certificates.
+    Strict positivity is preserved: a positive x is rounded at the least
+    scale 10^(12 + 6i) at which it stays positive, so rounded enclosures
+    remain valid certificates.
     """
     x = Fraction(x)
+    num, den = x.numerator, x.denominator
     scale = 10**12
-    out = Fraction(x.numerator * scale // x.denominator, scale)
-    while x > 0 and out <= 0:
-        scale *= 10**6
-        out = Fraction(x.numerator * scale // x.denominator, scale)
-    return out
+    if num > 0:
+        # den/num > 2^(b - 1) for b = bits(den) - bits(num), so num*10^k >= den needs
+        # k > (b - 1)*log10(2) >= d (1233/4096 < log10(2); d < 0 if b < 1): start at the
+        # least k = 12 + 6i above d.  As den/num < 2^(b + 1), the least k with 10^k >=
+        # den/num is under 3 + b/200000 digits above d: one step up below 600,000 bits.
+        d = (den.bit_length() - num.bit_length() - 1) * 1233 // 4096
+        scale = 10 ** (12 + 6 * max(0, (d - 6) // 6))
+        while num * scale < den:
+            scale *= 10**6
+    return Fraction(num * scale // den, scale)
 
 
 def round_down_above(x: Fraction, bound: Fraction) -> Fraction:

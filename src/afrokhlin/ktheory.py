@@ -303,6 +303,9 @@ class FgAbPresentation:
     def __post_init__(self):
         if not isinstance(self.free_rank, int) or isinstance(self.free_rank, bool):
             raise ValueError("free rank must be an integer")
+        if not all(isinstance(v, (tuple, list)) for v in (self.torsion, self.localizations)):
+            raise ValueError("invariant factors and localizations must be tuples or lists")
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         if not all(isinstance(d, int) and not isinstance(d, bool) for d in self.torsion):
             raise ValueError("invariant factors must be integers")
         if self.free_rank < 0:
@@ -312,7 +315,7 @@ class FgAbPresentation:
         for d, e in zip(self.torsion, self.torsion[1:]):
             if e % d:
                 raise ValueError(f"invariant factors must divide in sequence: {d}, {e}")
-        locs = self.localizations
+        locs = tuple(self.localizations)
         if not locs:
             locs = tuple(SupernaturalNumber.one() for _ in range(self.free_rank))
         if len(locs) != self.free_rank:

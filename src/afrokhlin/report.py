@@ -15,7 +15,7 @@ from .citations import CITATIONS
 from .classify import ALWAYS_TRUE_FACTS, ClassificationReport, Verdict
 from .intervals import RatInterval, round_down, round_up
 from .ktheory import FgAbPresentation, K0Element
-from .traces import TraceVector, Weight
+from .traces import TraceVector
 
 SCHEMA_VERSION = "1"
 
@@ -172,16 +172,16 @@ def presentation_json(p: FgAbPresentation) -> dict:
     }
 
 
-def weight_json(w: Weight) -> str | dict:
-    """An exact weight as a decimal string; an interval weight rounded outward
-    to 12 digits as {"lo", "hi"}."""
-    if isinstance(w, RatInterval):
-        return {"lo": decimal_str(round_down(w.lo)), "hi": decimal_str(round_up(w.hi))}
-    return decimal_str(w)
+def weight_json(w: RatInterval) -> str | dict:
+    """An exact weight (lo == hi) as a decimal string; any other weight with
+    its ends rounded outward to 12 digits as {"lo", "hi"}."""
+    if w.lo == w.hi:
+        return decimal_str(w.lo)
+    return {"lo": decimal_str(round_down(w.lo)), "hi": decimal_str(round_up(w.hi))}
 
 
-def weight_str(w: Weight) -> str:
-    w = weight_json(w)
+def weight_str(w: str | dict) -> str:
+    """The text form of a weight that `weight_json` has rendered."""
     return w if isinstance(w, str) else f"[{w['lo']}, {w['hi']}]"
 
 

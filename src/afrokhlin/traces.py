@@ -6,13 +6,11 @@ by the doubly stochastic mixing matrix [[(1 + g)/2, (1 - g)/2], [(1 - g)/2,
 (1 + g)/2]] of the stage gap ratio g.  These matrices multiply like their
 parameters, so the simplex is swept out by the matrix of the tail gap product
 L applied to an endpoint (r, 1 - r); its two extreme traces have weights
-((1 + L)/2, (1 - L)/2) and the swap.  Both ends of the certified enclosure of
-L map to ends of the weight enclosures, so no interval arithmetic is needed.
-When every tail product vanishes the simplex is a point and only the
-flip-invariant trace (1/2, 1/2) exists; extreme-trace queries then refuse.
-
-A weight is a `Fraction` when it is known exactly and otherwise a
-`RatInterval` with lo < hi that encloses it; every weight lies in [0, 1].
+((1 + L)/2, (1 - L)/2) and the swap.  Every weight is a `RatInterval` inside
+[0, 1], exact when lo == hi: the two ends of the certified enclosure of L give
+the ends of the weight enclosures, so no interval arithmetic is needed.  When
+every tail product vanishes the simplex is a point and only the flip-invariant
+trace (1/2, 1/2) exists; extreme-trace queries then refuse.
 """
 
 from __future__ import annotations
@@ -25,16 +23,6 @@ from .classify import UNKNOWN, UndecidedError, extreme_trace_count
 from .intervals import RatInterval
 from .products import DEFAULT_CUTOFF, TailZero, gap_product_tail
 
-Weight = Fraction | RatInterval
-
-
-def _unit_ends(w: Weight, what: str) -> tuple[Fraction, Fraction]:
-    """The ends of w, which must lie inside [0, 1]."""
-    lo, hi = (w.lo, w.hi) if isinstance(w, RatInterval) else (w, w)
-    if lo < 0 or hi > 1:
-        raise ValueError(f"{what} must lie in [0, 1], got {w}")
-    return lo, hi
-
 
 class UniqueTraceError(ValueError):
     """Extreme-trace queries are refused when the trace simplex is a point."""
@@ -45,13 +33,16 @@ class TraceVector:
     """Stage weight pair; represents the trace (a, b) -> r*tr(a) + s*tr(b)."""
 
     stage: int
-    r: Weight
-    s: Weight
+    r: RatInterval
+    s: RatInterval
 
     def __post_init__(self):
-        r_lo, r_hi = _unit_ends(self.r, "trace weight r")
-        s_lo, s_hi = _unit_ends(self.s, "trace weight s")
-        lo, hi = r_lo + s_lo, r_hi + s_hi
+        for what, w in (("trace weight r", self.r), ("trace weight s", self.s)):
+            if type(w) is not RatInterval:
+                raise ValueError("trace weights must be RatInterval enclosures")
+            if w.lo < 0 or w.hi > 1:
+                raise ValueError(f"{what} must lie in [0, 1], got {w}")
+        lo, hi = self.r.lo + self.s.lo, self.r.hi + self.s.hi
         if not lo <= 1 <= hi:
             raise ValueError(f"weights must sum to 1, got enclosure {RatInterval(lo, hi)}")
 
@@ -60,7 +51,8 @@ def invariant_trace_vector(spec: ActionSpec, n: int) -> TraceVector:
     """The flip-fixed trace weights: exactly (1/2, 1/2) at every stage."""
     if n < 0:
         raise ValueError("stage must be >= 0")
-    return TraceVector(n, Fraction(1, 2), Fraction(1, 2))
+    half = RatInterval(Fraction(1, 2), Fraction(1, 2))
+    return TraceVector(n, half, half)
 
 
 def extreme_trace_vector(
@@ -89,11 +81,8 @@ def extreme_trace_vector(
     # the tail settles by the cutoff, so the tail product is decided
     result = gap_product_tail(spec, n, cutoff)
     lo, hi = (0, 0) if isinstance(result, TailZero) else (result.lower, result.upper)
-    if lo == hi:
-        r, s = Fraction(1 + lo, 2), Fraction(1 - lo, 2)
-    else:
-        r = RatInterval((1 + lo) / 2, (1 + hi) / 2)
-        s = RatInterval((1 - hi) / 2, (1 - lo) / 2)
+    r = RatInterval(Fraction(1 + lo) / 2, Fraction(1 + hi) / 2)
+    s = RatInterval(Fraction(1 - hi) / 2, Fraction(1 - lo) / 2)
     if extreme == 1:
         return TraceVector(n, r, s)
     return TraceVector(n, s, r)

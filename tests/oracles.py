@@ -101,9 +101,16 @@ class MixingMatrix:
         return new_r, new_s
 
 
-def weight_ends(w) -> tuple[Fraction, Fraction]:
-    """(lo, hi) of a trace weight: a Fraction, or an enclosure with .lo and .hi."""
-    return (w, w) if isinstance(w, Fraction) else (w.lo, w.hi)
+def reference_round_down(x: Fraction) -> Fraction:
+    """Largest 12-digit decimal <= x, with the scale grown one 10^6 step at a
+    time, one full division each, until a positive x rounds to a positive value."""
+    x = Fraction(x)
+    scale = 10**12
+    out = Fraction(x.numerator * scale // x.denominator, scale)
+    while x > 0 and out <= 0:
+        scale *= 10**6
+        out = Fraction(x.numerator * scale // x.denominator, scale)
+    return out
 
 
 # Truncated-system tails the cone oracle knows exact end rules for.

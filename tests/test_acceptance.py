@@ -38,7 +38,6 @@ from oracles import (
     sign_tensor_counts,
     tower_base_exists,
     truncated_spec,
-    weight_ends,
 )
 from specgen import random_pair, random_spec
 from test_cli import FIXTURES, GOLDEN, normalize, run_cli
@@ -136,14 +135,14 @@ def test_acceptance_4_trace_parametrization():
     }
     for n in range(1, 21):
         (r_lo, r_hi), _ = MixingMatrix(spec.factor(n).gap).apply(
-            weight_ends(vec[n].r), weight_ends(vec[n].s)
+            (vec[n].r.lo, vec[n].r.hi), (vec[n].s.lo, vec[n].s.hi)
         )
-        prev_lo, prev_hi = weight_ends(vec[n - 1].r)
+        prev_lo, prev_hi = vec[n - 1].r.lo, vec[n - 1].r.hi
         assert r_hi - r_lo <= TOL and prev_hi - prev_lo <= TOL
         assert r_lo <= prev_hi and prev_lo <= r_hi
     lo, hi = dyadic_euler_interval()
     target_lo, target_hi = (1 + lo) / 2, (1 + hi) / 2
-    r1_lo, r1_hi = weight_ends(vec[1].r)
+    r1_lo, r1_hi = vec[1].r.lo, vec[1].r.hi
     assert r1_lo <= target_hi and target_lo <= r1_hi
     assert r1_hi - r1_lo <= TOL
     for n in range(0, 21):

@@ -7,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from afrokhlin import ActionSpec, cli, fixture
+from afrokhlin import ActionSpec, cli, fixture, report
 from afrokhlin.cli import bratteli_dot, main
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = ("car1", "car2", "car3", "notcar")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("AFROKHLIN_CUTOFF", None)
     if env_extra:
@@ -24,6 +24,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -197,6 +198,29 @@ def test_traces_cli():
     assert doc["vector"]["r"]["lo"].startswith("0.64439")
     inv = run_cli("traces", "car2", "--stage", "3", "--extreme", "inv", "--json")
     assert json.loads(inv.stdout)["traces"]["vector"]["r"] == "0.5"
+
+
+@pytest.mark.parametrize("extreme", ("1", "inv"))
+def test_traces_renders_each_weight_once(extreme, monkeypatch, capsys):
+    # the text is built from the weights already rendered for the JSON document
+    calls = []
+    render = report.weight_json
+    monkeypatch.setattr(report, "weight_json", lambda w: calls.append(w) or render(w))
+    assert main(["traces", "car3", "--stage", "3", "--extreme", extreme]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out.startswith("extreme1" if extreme == "1" else "invariant")
+
+
+def test_traces_deep_stage_finishes():
+    # s rounds down to a positive value with about 30,000 digits at this stage
+    r = run_cli("traces", "car3", "--stage", "100000", "--extreme", "1", timeout=10)
+    assert r.returncode == 0, r.stderr
+    head, s = r.stdout.split(", s = ")
+    assert head == "extreme1 trace weights of 'car3' at stage 100000: r = [0.999999999999, 1]"
+    s_lo, s_hi = s.strip().strip("[]").split(", ")
+    digits = s_lo.removeprefix("0.")
+    assert digits.isdigit() and 0 < len(digits.lstrip("0")) < len(digits) - 29000
+    assert s_hi == "0.000000000001"
 
 
 def test_condense_cli():

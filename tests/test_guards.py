@@ -34,6 +34,7 @@ from afrokhlin.report import decimal_str, weight_json
 
 FINITE = ActionSpec("finite", (RankPair(2, 1),), None)
 CAR3 = fixture("car3")
+QUARTER = RatInterval(Fraction(1, 4), Fraction(1, 4))
 
 ROWS = {
     "empty periodic tail": (
@@ -92,12 +93,20 @@ ROWS = {
         {"lo": "0.333333333333", "hi": "0.666666666667"},
     ),
     "weights not summing to 1": (
-        lambda: TraceVector(2, Fraction(1, 4), Fraction(1, 4)),
+        lambda: TraceVector(2, QUARTER, QUARTER),
         ValueError("weights must sum to 1, got enclosure 1/2"),
     ),
     "interval weights not summing to 1": (
-        lambda: TraceVector(1, RatInterval(Fraction(1, 4), Fraction(1, 3)), Fraction(1, 4)),
+        lambda: TraceVector(1, RatInterval(Fraction(1, 4), Fraction(1, 3)), QUARTER),
         ValueError("weights must sum to 1, got enclosure [1/2, 7/12]"),
+    ),
+    "weights that are not enclosures": (
+        lambda: TraceVector(2, Fraction(1, 2), Fraction(1, 2)),
+        ValueError("trace weights must be RatInterval enclosures"),
+    ),
+    "weight s that is not an enclosure": (
+        lambda: TraceVector(2, RatInterval(Fraction(1, 2), Fraction(1, 2)), 0.5),
+        ValueError("trace weights must be RatInterval enclosures"),
     ),
     "extreme 2": (
         lambda: extreme_trace_vector(CAR3, 2, 0),

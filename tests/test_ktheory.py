@@ -487,6 +487,15 @@ def test_presentation_validation():
             FgAbPresentation(1, (), (loc,))
     pres = FgAbPresentation(2, (2, 6))
     assert str(pres) == "Z (+) Z (+) Z/2 (+) Z/6"
+    # list fields are stored as tuples, so the frozen value hashes and compares
+    listed = FgAbPresentation(0, [2, 4])
+    assert listed.torsion == (2, 4) and listed == FgAbPresentation(0, (2, 4))
+    assert hash(listed) == hash(FgAbPresentation(0, (2, 4)))
+    one = SupernaturalNumber.one()
+    assert FgAbPresentation(1, [], [one]).localizations == (one,)
+    for fields in ((0, 4), (0, "24"), (0, range(2, 3)), (1, (), one), (1, (), {one})):
+        with pytest.raises(ValueError, match="must be tuples or lists"):
+            FgAbPresentation(*fields)
     with pytest.raises(ValueError):
         fgab_colimit(
             FgAbPresentation(1, (), (SupernaturalNumber(((2, INF),)),)),
