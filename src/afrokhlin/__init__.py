@@ -46,7 +46,6 @@ from .products import (
     DEFAULT_CUTOFF,
     TailPositive,
     TailProductResult,
-    TailUnknown,
     TailZero,
     condense,
     gap_product,

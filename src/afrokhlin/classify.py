@@ -22,10 +22,9 @@ from .actions import (
     supernatural_of_algebra,
 )
 from .citations import cite
-from .intervals import round_down, round_up
+from .intervals import RatInterval, round_down, round_up
 from .products import (
     DEFAULT_CUTOFF,
-    TailUnknown,
     TailZero,
     first_zero_gap_after,
     gap_product_tail,
@@ -124,14 +123,14 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
             witness["divergence"] = result.divergence
         witness.update(spec.tail.gap_limit())
         return Verdict(YES, witness, anchors)
-    if isinstance(result, TailUnknown):
+    if isinstance(result, RatInterval):
         return Verdict(
             UNKNOWN,
             {
                 "kind": "cutoff_exhausted",
                 "cutoff": cutoff,
                 "m": m,
-                "partial_upper": round_up(result.upper),
+                "partial_upper": round_up(result.hi),
             },
             anchors,
         )

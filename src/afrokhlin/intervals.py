@@ -1,9 +1,9 @@
 """The enclosure value and directed decimal rounding.
 
-A `RatInterval` is a validated pair of `fractions.Fraction` ends lo <= hi (no
-floating point), exact when lo == hi; every trace weight is one.  The rounding
-helpers turn an exact rational into a short decimal certificate that lies
-below it, above it, or below it but still above a given bound.
+A `RatInterval` is a validated pair of Fraction ends lo <= hi, built from ints or
+Fractions only (no floating point), exact when lo == hi: every trace weight and every
+undecided tail product [0, P] is one.  The rounding helpers turn a rational into a short
+decimal below it, above it, or below it but above a bound, sized from bit lengths.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ class RatInterval:
     hi: Fraction
 
     def __post_init__(self):
+        if not {type(self.lo), type(self.hi)} <= {int, Fraction}:
+            raise ValueError("interval ends must be integers or Fractions")
         lo, hi = Fraction(self.lo), Fraction(self.hi)
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -55,13 +57,21 @@ def round_down(x: Fraction) -> Fraction:
 def round_down_above(x: Fraction, bound: Fraction) -> Fraction:
     """Largest decimal fraction <= x at the fewest digits, at least 12, that
     still exceeds bound < x, so the rounded value certifies x > bound."""
-    x = Fraction(x)
-    scale = 10**12
-    out = Fraction(x.numerator * scale // x.denominator, scale)
-    while out <= bound:
-        scale *= 10
-        out = Fraction(x.numerator * scale // x.denominator, scale)
-    return out
+    if (gap := x - bound) <= 0:
+        raise ValueError("bound must lie below x")
+    # floor_k(x) = floor(x*10^k) / 10^k never decreases as k grows and exceeds bound once
+    # 10^-k <= x - bound = n/d (as floor_k(x) > x - 10^-k), which holds at k = e*1234//4096
+    # + 1 > e*log10(2) for e = bits(d) - bits(n) + 1, as n/d > 2^-e: bisect [12, k] on ints.
+    e = gap.denominator.bit_length() - gap.numerator.bit_length() + 1
+    lo, hi = 12, max(12, e * 1234 // 4096 + 1)
+    (xn, xd), (bn, bd) = x.as_integer_ratio(), bound.as_integer_ratio()
+    while lo < hi:
+        k = (lo + hi) // 2
+        if xn * 10**k // xd * bd > bn * 10**k:
+            hi = k
+        else:
+            lo = k + 1
+    return Fraction(xn * 10**lo // xd, 10**lo)
 
 
 def round_up(x: Fraction) -> Fraction:

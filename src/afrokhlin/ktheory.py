@@ -37,11 +37,10 @@ from .actions import (
 )
 from .citations import cite
 from .classify import NO, UNKNOWN, YES, Verdict, strict_rokhlin_verdict
-from .intervals import round_down, round_down_above, round_up
+from .intervals import RatInterval, round_down, round_down_above, round_up
 from .products import (
     DEFAULT_CUTOFF,
     TailPositive,
-    TailUnknown,
     TailZero,
     first_zero_gap_after,
     gap_product_tail,
@@ -162,13 +161,13 @@ def is_positive(
 
     ratio = Fraction(u, absv)
     tail = gap_product_tail(spec, s, cutoff)
-    if isinstance(tail, TailUnknown):
+    if isinstance(tail, RatInterval):
         return Verdict(
             UNKNOWN,
             {
                 "kind": "cutoff_exhausted",
                 "cutoff": cutoff,
-                "interval": [round_down(tail.lower), round_up(tail.upper)],
+                "interval": [tail.lo, round_up(tail.hi)],
                 "threshold": ratio,
             },
             anchors,

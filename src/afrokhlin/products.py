@@ -15,6 +15,7 @@ no more: it is enclosed by dyadic numbers rounded outward (lower end down,
 upper end up) at a working precision derived from r alone.  Factors are
 multiplied exactly, with unreduced integer numerator and denominator, while
 that denominator fits the precision, so a short product comes back exact.
+A tail whose certificate needs more than the cutoff is the enclosure [0, P].
 
 Every product reads the factors after a range start from one stream,
 `ActionSpec.split_stream`, in split form: p - q = x*P + y and p + q = A*P,
@@ -37,6 +38,7 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .actions import ActionSpec, FiniteActionError, RankPair
+from .intervals import RatInterval
 
 DEFAULT_CUTOFF = 64
 
@@ -73,16 +75,7 @@ class TailPositive:
             raise ValueError(f"invalid positive enclosure [{self.lower}, {self.upper}]")
 
 
-@dataclass(frozen=True)
-class TailUnknown:
-    """Cutoff exhausted before a certificate applied; partial enclosure only."""
-
-    cutoff: int
-    lower: Fraction
-    upper: Fraction
-
-
-TailProductResult = TailZero | TailPositive | TailUnknown
+TailProductResult = TailZero | TailPositive | RatInterval
 
 
 def gap_product(spec: ActionSpec, m: int, n: int) -> Fraction:
@@ -122,8 +115,8 @@ def gap_product_tail(
 
     Returns TailZero with a witness (a later zero gap, or a named divergence
     test for the sum of 1 - gap), TailPositive with a certified rational
-    enclosure, or TailUnknown when the geometric certificate does not engage
-    within ``cutoff`` tail factors.
+    enclosure, or the undecided enclosure RatInterval(0, partial product) when
+    the geometric certificate does not engage within ``cutoff`` tail factors.
     """
     if m < 0:
         raise ValueError(f"range start must be >= 0, got {m}")
@@ -142,8 +135,7 @@ def gap_product_tail(
 
     settle = tail.settle_depth()
     if settle > cutoff:
-        upper = gap_product(spec, m, max(m, n0 + cutoff))
-        return TailUnknown(cutoff=cutoff, lower=Fraction(0), upper=upper)
+        return RatInterval(Fraction(0), gap_product(spec, m, max(m, n0 + cutoff)))
     depth = max(settle, m - n0)
     if not tail.remainder_bound(depth):
         partial = gap_product(spec, m, n0 + depth)

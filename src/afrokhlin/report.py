@@ -25,11 +25,10 @@ def decimal_str(fr: Fraction) -> str:
     num, den = fr.numerator, fr.denominator
     twos = (den & -den).bit_length() - 1
     d = den >> twos
-    fives = 0
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
+    # d = 5^f has bits(d) - 1 = floor(f*log2(5)), so f = ceil((bits(d) - 1) / 2.3219281)
+    # exactly below about 10^8 bits (2.3219281 - log2(5) < 10^-8); 5^f is formed only if 5 | d
+    fives = -(-(d.bit_length() - 1) * 10**7 // 23219281)
+    if (d > 1 and d % 5) or 5**fives != d:
         return str(fr)
     k = max(twos, fives)
     scaled = abs(num) * 10**k // den
@@ -43,8 +42,9 @@ def decimal_str(fr: Fraction) -> str:
 def jsonify(value):
     """Recursively convert report values into stable JSON-ready primitives.
 
-    Rationals render as exact decimal strings when one exists (p/q otherwise),
-    so parsing the string back as a Fraction loses nothing."""
+    Rationals render as exact decimal strings when one exists (p/q otherwise), so
+    parsing the string back as a Fraction loses nothing (past Python's 4,300-digit
+    default limit, as deep `traces` ends are, only with that limit lifted)."""
     if isinstance(value, Fraction):
         return decimal_str(value)
     if isinstance(value, SupernaturalNumber):

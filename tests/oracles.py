@@ -29,8 +29,8 @@ from afrokhlin import (
     K0Element,
     PeriodicTail,
     RankPair,
+    RatInterval,
     TailPositive,
-    TailUnknown,
     TailZero,
 )
 from afrokhlin.cantor import (
@@ -113,6 +113,39 @@ def reference_round_down(x: Fraction) -> Fraction:
     return out
 
 
+def reference_round_down_above(x: Fraction, bound: Fraction) -> Fraction:
+    """Largest decimal <= x at the fewest digits, at least 12, that exceeds
+    bound < x, with the digit count grown one at a time, one full division each."""
+    x = Fraction(x)
+    scale = 10**12
+    out = Fraction(x.numerator * scale // x.denominator, scale)
+    while out <= bound:
+        scale *= 10
+        out = Fraction(x.numerator * scale // x.denominator, scale)
+    return out
+
+
+def reference_decimal_str(fr: Fraction) -> str:
+    """Exact decimal rendering when the denominator allows one, else p/q, with
+    the fives counted by dividing them out of the denominator one at a time."""
+    num, den = fr.numerator, fr.denominator
+    twos = (den & -den).bit_length() - 1
+    d = den >> twos
+    fives = 0
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    if d != 1:
+        return str(fr)
+    k = max(twos, fives)
+    scaled = abs(num) * 10**k // den
+    sign = "-" if num < 0 else ""
+    whole, part = divmod(scaled, 10**k)
+    if k == 0 or part == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}." + str(part).rjust(k, "0").rstrip("0")
+
+
 # Truncated-system tails the cone oracle knows exact end rules for.
 TAIL_IDENTITY = "identity"  # append (1, 0) forever: nothing changes
 TAIL_SYMMETRIC = "symmetric"  # append (1, 1) forever: v dies at the next stage
@@ -183,8 +216,7 @@ def exact_gap_product_tail(spec: ActionSpec, m: int, cutoff: int):
         return TailZero(divergence=divergence)
     settle = tail.settle_depth()
     if settle > cutoff:
-        upper = _reduced_gap_product(spec, m, max(m, n0 + cutoff))
-        return TailUnknown(cutoff=cutoff, lower=Fraction(0), upper=upper)
+        return RatInterval(Fraction(0), _reduced_gap_product(spec, m, max(m, n0 + cutoff)))
     depth = max(settle, m - n0)
     if tail.remainder_bound(depth):
         depth += cutoff

@@ -213,7 +213,7 @@ def test_traces_renders_each_weight_once(extreme, monkeypatch, capsys):
 
 def test_traces_deep_stage_finishes():
     # s rounds down to a positive value with about 30,000 digits at this stage
-    r = run_cli("traces", "car3", "--stage", "100000", "--extreme", "1", timeout=10)
+    r = run_cli("traces", "car3", "--stage", "100000", "--extreme", "1", timeout=5)
     assert r.returncode == 0, r.stderr
     head, s = r.stdout.split(", s = ")
     assert head == "extreme1 trace weights of 'car3' at stage 100000: r = [0.999999999999, 1]"

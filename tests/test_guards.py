@@ -4,6 +4,7 @@ raises (type and message) or the value it returns."""
 
 import runpy
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from afrokhlin import (
 )
 from afrokhlin.actions import _factorize
 from afrokhlin.citations import cite
+from afrokhlin.intervals import round_down_above
 from afrokhlin.products import first_zero_gap_after
 from afrokhlin.report import decimal_str, weight_json
 
@@ -53,6 +55,22 @@ ROWS = {
     "supernatural one": (lambda: str(SupernaturalNumber.one()), "1"),
     "bad decision": (lambda: Verdict("maybe", {}, ()), ValueError("bad decision 'maybe'")),
     "exact interval": (lambda: str(RatInterval(Fraction(1, 3), Fraction(1, 3))), "1/3"),
+    "float interval ends": (
+        lambda: RatInterval(0.1, 0.2),
+        ValueError("interval ends must be integers or Fractions"),
+    ),
+    "bool interval end": (
+        lambda: RatInterval(True, 1),
+        ValueError("interval ends must be integers or Fractions"),
+    ),
+    "str interval ends": (
+        lambda: RatInterval("1/3", "1/2"),
+        ValueError("interval ends must be integers or Fractions"),
+    ),
+    "Decimal interval end": (
+        lambda: RatInterval(Fraction(0), Decimal("0.5")),
+        ValueError("interval ends must be integers or Fractions"),
+    ),
     "negative stage": (lambda: K0Element(-1, 0, 0), ValueError("stage must be >= 0")),
     "localization count": (
         lambda: FgAbPresentation(2, (), (SupernaturalNumber.one(),)),
@@ -88,6 +106,14 @@ ROWS = {
         FiniteActionError("tail products need an infinite action"),
     ),
     "non-decimal rational": (lambda: decimal_str(Fraction(1, 3)), "1/3"),
+    "rounding above x itself": (
+        lambda: round_down_above(Fraction(1, 3), Fraction(1, 3)),
+        ValueError("bound must lie below x"),
+    ),
+    "rounding above a bound over x": (
+        lambda: round_down_above(Fraction(1, 3), Fraction(1, 2)),
+        ValueError("bound must lie below x"),
+    ),
     "interval weight": (
         lambda: weight_json(RatInterval(Fraction(1, 3), Fraction(2, 3))),
         {"lo": "0.333333333333", "hi": "0.666666666667"},

@@ -9,8 +9,8 @@ from afrokhlin import (
     K0Element,
     PeriodicTail,
     RankPair,
+    RatInterval,
     TailPositive,
-    TailUnknown,
     TailZero,
     classification_report,
     condense,
@@ -192,11 +192,11 @@ def test_tail_unknown_when_certificate_needs_depth():
     tail = AffinePowerTail(B=3, A=1, alpha=1, beta=-3, gamma=0, delta=3)
     spec = ActionSpec("slow", (), tail)
     shallow = gap_product_tail(spec, 0, cutoff=1)
-    assert isinstance(shallow, TailUnknown)
-    assert shallow.cutoff == 1
+    assert type(shallow) is RatInterval
+    assert shallow.lo == 0
     deep = gap_product_tail(spec, 0, cutoff=64)
     assert isinstance(deep, TailPositive)
-    assert shallow.lower <= deep.lower and deep.upper <= shallow.upper
+    assert shallow.lo <= deep.lower and deep.upper <= shallow.hi
 
 
 def test_tail_isolated_zero_located():
@@ -228,15 +228,18 @@ def test_first_zero_gap_matches_brute_scan():
 def test_tail_enclosure_matches_exact_oracle():
     # the rounded enclosure must contain the exact one, lose almost nothing,
     # and render the same 12-digit witness ends; products short enough to stay exact come back
-    # identical to the oracle's, which every cutoff-1 query is
+    # identical to the oracle's, which every cutoff-1 query is; every tail here settles
+    # by depth 2, so only cutoff 1 leaves some undecided ([0, P] enclosures)
     rounded = 0
+    undecided = {cutoff: 0 for cutoff in (1, 2, 8, 64, 200)}
     for seed in range(300):
         spec = random_spec(random.Random(seed), f"s{seed}")
         n0 = len(spec.prefix)
         for m in (n0, n0 + 2):
-            for cutoff in (1, 2, 8, 64, 200):
+            for cutoff in undecided:
                 got = gap_product_tail(spec, m, cutoff)
                 want = exact_gap_product_tail(spec, m, cutoff)
+                undecided[cutoff] += type(got) is RatInterval
                 if cutoff == 1 or not isinstance(want, TailPositive):
                     assert got == want, (seed, m, cutoff)
                     continue
@@ -251,6 +254,7 @@ def test_tail_enclosure_matches_exact_oracle():
                 assert round_up(got.upper) == round_up(want.upper), (seed, m, cutoff)
                 rounded += got.upper != want.upper
     assert rounded > 100
+    assert undecided[1] >= 50 and not any(undecided[cutoff] for cutoff in (2, 8, 64, 200))
 
 
 @pytest.mark.parametrize(
