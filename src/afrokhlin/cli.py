@@ -9,7 +9,8 @@ exit code.  Errors go to stderr as one line.
 
 Exit codes: 0 decided, 2 input error, 3 a verdict stayed unknown at the
 cutoff, 4 domain precondition failed (a non-free G-set, or an extreme-trace
-query on an action with a unique tracial state).  ``main`` never raises
+query on an action with a unique tracial state), 141 (128 + SIGPIPE) stdout
+closed by its reader, with nothing on stderr.  ``main`` never raises
 ``SystemExit``: on an argparse failure or ``--help`` it returns argparse's
 code (2 or 0) after argparse has printed its message.
 
@@ -74,6 +75,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 EXIT_DOMAIN = 4
+EXIT_PIPE = 141
 
 Result = tuple[dict, str, bool]  # document, text, a verdict stayed unknown
 
@@ -415,9 +417,17 @@ def main(argv=None) -> int:
             print(json.dumps(doc, indent=2))
         elif not args.quiet:
             print(text)
+        sys.stdout.flush()
         return EXIT_UNKNOWN if unknown else EXIT_OK
     except SystemExit as exc:  # argparse has printed its usage, error or help
         return exc.code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at exit
+        # stays quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except NotFreeError as exc:
         g, x = exc.witness
         print(f"error: {exc} (witness g={g}, x={x})", file=sys.stderr)

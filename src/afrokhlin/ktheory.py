@@ -6,7 +6,8 @@ matrices [[p_n, q_n], [q_n, p_n]].  In the coordinates u = a + b, v = a - b
 each stage map is diagonal: u scales by the matrix size k_n, v by the rank
 difference p_n - q_n.  `push_forward` works in this diagonal form, scaling u
 and v by the products of the factor walk `ActionSpec.partial_products`, and
-`is_positive` scans the same walk stage by stage.  Equality and positivity of
+`is_positive` scans the stage products rounded outward to the precision that
+the threshold needs (`_cone_scan`).  Equality and positivity of
 colimit classes are decided lazily from these scalings together with
 gap-product thresholds: a class with u > 0 is positive exactly when
 |v| * gap_product(stage, N) <= u at some finite stage N, which the certified
@@ -39,9 +40,11 @@ from .citations import cite
 from .classify import NO, UNKNOWN, YES, Verdict, strict_rokhlin_verdict
 from .intervals import RatInterval, round_down, round_down_above, round_up
 from .products import (
+    _GUARD_BITS,
     DEFAULT_CUTOFF,
     TailPositive,
     TailZero,
+    _gap_walk,
     first_zero_gap_after,
     gap_product_tail,
 )
@@ -125,7 +128,9 @@ def is_positive(
     The budget is 7 tail enclosures, at cutoff * 2**k for k = 0 .. 6, each
     tested against the threshold u / |v|, and 2**16 stages scanned past the
     element's stage (or the first scan, over the cutoff and the prefix, if
-    that is longer); a verdict that needs more is unknown.
+    that is longer); a verdict that needs more is unknown.  A scanned stage
+    costs one rounded step (`_cone_scan`), not a test on the exact stage
+    product, whose bits grow with the square of the stage on an affine tail.
     """
     if spec.tail is None:
         raise FiniteActionError("positivity needs an infinite action")
@@ -151,7 +156,7 @@ def is_positive(
     # which this first scan covers, so no exact enclosure below can equal the
     # threshold.  Later scans resume where this one stopped.
     absv = abs(v)
-    scan = ((n, absv * diff <= u * size) for n, diff, size in spec.partial_products(s))
+    scan = _cone_scan(spec, s, u, absv)
     n, inside = next(scan)
     scan_to = max(s + max(cutoff, 8), len(spec.prefix) + 1)
     while not inside and n < scan_to:
@@ -213,6 +218,27 @@ def is_positive(
         },
         anchors,
     )
+
+
+def _cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
+    """Yield (n, |v| * gap_product(spec, s, n) <= u) for n = s, s + 1, ...
+
+    The stage products come from `_gap_walk` at prec = bits(u) + bits(|v|) +
+    _GUARD_BITS: exact while their denominator fits, then rounded outward to
+    lo <= gap_product * den <= hi.  A rounded stage is inside when |v| * hi <=
+    u * den and outside when |v| * lo > u * den; only a stage whose enclosure
+    straddles the threshold multiplies out the exact `spec.range_product`.
+    """
+    prec = u.bit_length() + absv.bit_length() + _GUARD_BITS
+    for n, (lo, hi, den) in enumerate(_gap_walk(spec, s, prec), s):
+        bound = u * den
+        if absv * hi <= bound:
+            yield n, True
+        elif lo == hi or absv * lo > bound:
+            yield n, False
+        else:
+            diff, size = spec.range_product(s, n)
+            yield n, absv * diff <= u * size
 
 
 def is_totally_ordered(spec: ActionSpec) -> Verdict:

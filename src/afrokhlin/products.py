@@ -22,8 +22,10 @@ Every product reads the factors after a range start from one stream,
 with P = B**j for an affine tail factor and P = 1, y = 0 otherwise.  Finite
 products come from `ActionSpec.partial_products`, a walk over its view
 `factor_stream` (pairs p - q, p + q), which `gap_product` and `condense` read.
-The tail enclosures multiply the split stream exactly until the denominator
-outgrows the precision, then round, taking a mantissa V to
+The rounded walk `_gap_walk`, which gives the tail enclosures and the
+positivity scan of `ktheory.is_positive` every stage product, multiplies the
+split stream exactly until the denominator outgrows the precision, then
+rounds, taking a mantissa V to
 floor((V*x + floor(V*y / P)) / A) = floor(V*(x*P + y) / (A*P)), because
 floor(z / A) = floor(floor(z) / A).  No operand has the bits of P: a rounded
 step costs O(prec) when P is a power of two and one division by P otherwise.
@@ -179,29 +181,38 @@ def _product_bit_length(u: int, v: int) -> int:
 def _enclose_gap_product(
     spec: ActionSpec, m: int, n: int, prec: int
 ) -> tuple[Fraction, Fraction]:
-    """Outward-rounded enclosure lo <= gap_product(spec, m, n) <= hi.
+    """Outward-rounded enclosure lo <= gap_product(spec, m, n) <= hi: the
+    item of `_gap_walk` at n, exact (lo == hi) when the product never
+    outgrew the precision."""
+    lo, hi, den = next(islice(_gap_walk(spec, m, prec), n - m, None))
+    return Fraction(lo, den), Fraction(hi, den)
+
+
+def _gap_walk(spec: ActionSpec, m: int, prec: int):
+    """Yield (lo, hi, den) with lo/den <= gap_product(spec, m, n) <= hi/den for
+    n = m, m + 1, ...
 
     Factors of ``spec.split_stream(m)`` multiply exactly, with unreduced
     integer numerator and denominator and no gcd, while the denominator fits
-    in ``prec`` bits, so a product that never outgrows the precision comes
-    back exact (lo == hi).  From then on, reading on in the same stream, both
-    ends are integer mantissas of about ``prec`` bits over a common power of
-    two, lo floored and hi ceiled at every factor.  A factor (x*P + y)/(A*P)
-    takes a mantissa V to floor((V*x + floor(V*y / P)) / A), which is
-    floor(V*(x*P + y) / (A*P)) as floor(z / A) = floor(floor(z) / A); for a
-    shift s < 0 the floor by 2**-s comes first, as V = v / 2**-s is no integer.
+    in ``prec`` bits (lo == hi, den that denominator).  From then on, reading
+    on in the same stream, both ends are integer mantissas of about ``prec``
+    bits over den = 2**scale, lo floored and hi ceiled at every factor.  A
+    factor (x*P + y)/(A*P) takes a mantissa V to floor((V*x + floor(V*y / P))
+    / A), which is floor(V*(x*P + y) / (A*P)) as floor(z / A) = floor(floor(z)
+    / A); for a shift s < 0 the floor by 2**-s comes first, as V = v / 2**-s
+    is no integer.  Each rounded step moves an end by less than one unit of a
+    mantissa above 2**(prec - 2), so after N of them the ends lie within a
+    factor 1 -+ 4*N / 2**prec of the product.
     """
     stream = spec.split_stream(m)
-    k, num, den = m, 1, 1
+    num = den = 1
     while den.bit_length() <= prec:
-        if k == n:
-            exact = Fraction(num, den)
-            return exact, exact
+        yield num, num, den
         x, y, A, P = next(stream)
-        k, num, den = k + 1, num * (x * P + y), den * (A * P)
+        num, den = num * (x * P + y), den * (A * P)
     lo, hi = 1, -1  # hi is kept negated: floor(-x / d) = -ceil(x / d) rounds it up
     scale = 0  # the mantissas stand for lo / 2**scale and -hi / 2**scale
-    for x, y, A, P in chain([(num, 0, den, 1)], islice(stream, n - k)):
+    for x, y, A, P in chain([(num, 0, den, 1)], stream):
         # choose the shift that leaves about prec bits in the quotient
         shift = prec + (A * P).bit_length() - _product_bit_length(-hi, x * P + y)
         scale += shift
@@ -216,4 +227,4 @@ def _enclose_gap_product(
         if shift < 0:
             lo_w, hi_w = lo_w >> -shift, hi_w >> -shift
         lo, hi = lo_w // A, hi_w // A
-    return Fraction(lo, 1 << scale), Fraction(-hi, 1 << scale)
+        yield lo, -hi, 1 << scale

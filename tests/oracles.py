@@ -9,6 +9,8 @@ system plus the exact end rule of a known tail, tail
 products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace
 and by the rounded loop over whole factors read one index at a time,
+the positivity scan by the exact stage products it rounds, the tracial
+witness by the cutoff enclosure its shallow shortcut skips,
 the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
 axioms, and greedy towers by scanning every row for a fixed point and
@@ -39,7 +41,8 @@ from afrokhlin.cantor import (
     NotFreeError,
     Tower,
 )
-from afrokhlin.products import first_zero_gap_after
+from afrokhlin.intervals import round_down, round_up
+from afrokhlin.products import first_zero_gap_after, gap_product_tail
 
 
 def sign_tensor_counts(pairs) -> tuple[int, int]:
@@ -258,6 +261,39 @@ def reference_enclose_gap_product(spec: ActionSpec, m: int, n: int, prec: int, s
             lo, hi = (lo * a >> -shift) // b, -((-hi * a >> -shift) // b)
         scale += shift
     return Fraction(lo, 1 << scale), Fraction(hi, 1 << scale)
+
+
+def reference_cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
+    """Yield (n, |v| * diff <= u * size) for n = s, s + 1, ... from the exact
+    unreduced stage products of ``spec.partial_products(s)``."""
+    return ((n, absv * diff <= u * size) for n, diff, size in spec.partial_products(s))
+
+
+def reference_tracial_witness(spec: ActionSpec, cutoff: int) -> dict:
+    """The tracial Rokhlin witness read from `gap_product_tail` at the cutoff
+    itself, with the positive enclosure rounded outward to 12 digits."""
+    if spec.tail.divergence() is not None:
+        m = len(spec.prefix)
+    else:
+        m, z = 0, first_zero_gap_after(spec, 0)
+        while z is not None:
+            m, z = z, first_zero_gap_after(spec, z)
+    result = gap_product_tail(spec, m, cutoff)
+    if isinstance(result, TailZero):
+        witness = {"kind": "vanishing_tail_products"}
+        if result.zero_index is not None:
+            witness["recurring_zero_gap_index"] = result.zero_index
+        else:
+            witness["divergence"] = result.divergence
+        return {**witness, **spec.tail.gap_limit()}
+    if isinstance(result, RatInterval):
+        return {"kind": "cutoff_exhausted", "cutoff": cutoff, "m": m, "partial_upper": round_up(result.hi)}
+    return {
+        "kind": "positive_tail_product",
+        "m": m,
+        "lower": round_down(result.lower),
+        "upper": round_up(result.upper),
+    }
 
 
 def tower_base_exists(gs: FiniteGSet) -> bool:

@@ -24,6 +24,7 @@ from afrokhlin import (
 from afrokhlin import classify, traces
 from afrokhlin.citations import CITATIONS
 from afrokhlin.traces import UniqueTraceError
+from oracles import reference_tracial_witness
 from specgen import random_pair, random_spec
 
 
@@ -175,6 +176,65 @@ def test_tracial_unknown_at_tiny_cutoff_then_decided():
     assert shallow.witness["cutoff"] == 1
     deep = tracial_rokhlin_verdict(spec, cutoff=64)
     assert deep.is_no
+
+
+def _tail_cutoffs(monkeypatch) -> list[int]:
+    """Record the cutoff of every `gap_product_tail` call made by classify."""
+    cutoffs = []
+    real = classify.gap_product_tail
+    monkeypatch.setattr(
+        classify, "gap_product_tail", lambda spec, m, c: cutoffs.append(c) or real(spec, m, c)
+    )
+    return cutoffs
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 64, 200, 1000])
+def test_tracial_witness_matches_cutoff_reference(monkeypatch, cutoff):
+    # the witness read from the shallow enclosure has the bytes of the cutoff one
+    rng = random.Random(cutoff)
+    cutoffs = _tail_cutoffs(monkeypatch)
+    shallow = 0
+    for _ in range(200):
+        spec = random_spec(rng)
+        del cutoffs[:]
+        witness = tracial_rokhlin_verdict(spec, cutoff).witness
+        assert witness == reference_tracial_witness(spec, cutoff)
+        if cutoffs[0] < cutoff:
+            # the shallow cutoff d is the least one >= settle depth with r_d < 2^-104
+            shallow += 1
+            d, settle = cutoffs[0], spec.tail.settle_depth()
+            bound = spec.tail.remainder_bound
+            base = max(settle, witness["m"] - len(spec.prefix))
+            assert bound(base + d) < Fraction(1, 2**104)
+            assert d == settle or bound(base + d - 1) >= Fraction(1, 2**104)
+    assert shallow >= (30 if cutoff >= 200 else 0)
+
+
+def test_fixed_witness_falls_back_on_a_straddle():
+    grid, eps = Fraction(288788095087, 10**12), Fraction(1, 10**20)
+    below, above = (grid - 2 * eps, grid - eps), (grid + eps, grid + 2 * eps)
+    low, high = grid - Fraction(1, 10**12), grid + Fraction(1, 10**12)
+    assert classify._fixed_witness(below, above) == (low, high)
+    assert classify._fixed_witness(below, below) == (low, grid)
+    straddle = (grid - eps, grid + eps)
+    assert classify._fixed_witness(straddle, above) is None
+    assert classify._fixed_witness(below, straddle) is None
+
+
+def test_tracial_witness_falls_back_to_the_cutoff_enclosure(monkeypatch):
+    car3 = fixture("car3")
+    want = reference_tracial_witness(car3, 128)
+    cutoffs = _tail_cutoffs(monkeypatch)
+    assert tracial_rokhlin_verdict(car3, 128).witness == want
+    # r_d = 2^-(1 + d) first drops below 2^-104 at d = 104
+    assert cutoffs == [104]
+    monkeypatch.setattr(classify, "_fixed_witness", lambda lower, upper: None)
+    del cutoffs[:]
+    assert tracial_rokhlin_verdict(car3, 128).witness == want
+    assert cutoffs == [104, 128]
+    del cutoffs[:]
+    assert tracial_rokhlin_verdict(car3, 104).witness == want
+    assert cutoffs == [104]
 
 
 def count_calls(monkeypatch, modules, names) -> dict[str, int]:

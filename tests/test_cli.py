@@ -223,6 +223,41 @@ def test_traces_deep_stage_finishes():
     assert s_hi == "0.000000000001"
 
 
+def test_classify_deep_cutoff_finishes():
+    # the witness comes from the enclosure at cutoff 104, not 100,000
+    r = run_cli("classify", "car3", "--cutoff", "100000", "--json", timeout=2)
+    assert r.returncode == 0, r.stderr
+    witness = json.loads(r.stdout)["classification"]["tracial_rokhlin"]["witness"]
+    assert (witness["lower"], witness["upper"]) == ("0.288788095086", "0.288788095087")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the read end is closed before the command starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "AFROKHLIN_CUTOFF"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "afrokhlin", "classify", "car3", "--json"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_end)
+    _, err = proc.communicate(timeout=20)
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_closed_stdout_in_process(monkeypatch, capsys):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["classify", "car3", "--json"]) == 141
+        # the descriptor now points at devnull, so the buffered output flushes
+        out.flush()
+    assert capsys.readouterr().err == ""
+
+
 def test_condense_cli():
     r = run_cli("condense", "car3", "--range", "0..3", "--json")
     doc = json.loads(r.stdout)["condense"]

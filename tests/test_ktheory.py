@@ -1,7 +1,10 @@
 import math
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +28,13 @@ from afrokhlin import (
     is_zero,
     push_forward,
 )
-from afrokhlin.ktheory import _smith_diagonal, _subgroup_invariant_factors, mat_mul
+from afrokhlin import ktheory
+from afrokhlin.ktheory import _cone_scan, _smith_diagonal, _subgroup_invariant_factors, mat_mul
 from oracles import (
     ORACLE_TAILS,
     TransitionMatrix,
     cone_oracle,
+    reference_cone_scan,
     reference_smith_diagonal,
     transition,
     truncated_spec,
@@ -637,6 +642,94 @@ def test_is_positive_exits(spec, el, cutoff, decision, witness):
     verdict = is_positive(spec, el, cutoff)
     assert verdict.decision == decision
     assert list(verdict.witness.items()) == list(witness.items())
+
+
+def _near_threshold(rng, spec, s, stop):
+    """(u, |v|) with u / |v| within a few units of 1/|v| of a stage product in s ..
+    stop, for |v| of 8 to 200 bits, or small random integers; None when u <= 0."""
+    if rng.random() < 0.3:
+        return rng.randint(1, 2**40), rng.randint(1, 2**40)
+    diff, size = spec.range_product(s, rng.randint(s, stop))
+    absv = rng.getrandbits(rng.choice([8, 60, 200])) | 1
+    u = diff * absv // size + rng.randint(-3, 3)
+    return (u, absv) if u > 0 else None
+
+
+@pytest.mark.parametrize("cutoff", [8, 64, 200, 1000])
+def test_cone_scan_matches_exact_reference(cutoff):
+    # the rounded scan answers every stage of the first scan as the exact one
+    rng = random.Random(cutoff)
+    cases = 0
+    while cases < {8: 80, 64: 80, 200: 15, 1000: 8}[cutoff]:
+        spec, s = random_spec(rng), rng.randint(0, 3)
+        pair = _near_threshold(rng, spec, s, s + cutoff + 8)
+        if pair is None:
+            continue
+        cases += 1
+        got = list(islice(_cone_scan(spec, s, *pair), cutoff + 8))
+        assert got == list(islice(reference_cone_scan(spec, s, *pair), cutoff + 8))
+
+
+def test_is_positive_matches_exact_scan_reference(monkeypatch):
+    rng = random.Random(23)
+    cases = []
+    while len(cases) < 150:
+        spec, s = random_spec(rng), rng.randint(0, 3)
+        pair = _near_threshold(rng, spec, s, s + 16)
+        if pair is not None:
+            u, v = 2 * pair[0], 2 * pair[1] * rng.choice([1, -1])
+            cases.append((spec, K0Element(s, (u + v) // 2, (u - v) // 2)))
+    got = [is_positive(spec, el, 8) for spec, el in cases]
+    monkeypatch.setattr(ktheory, "_cone_scan", reference_cone_scan)
+    assert got == [is_positive(spec, el, 8) for spec, el in cases]
+
+
+def test_is_positive_boundary_stage_pays_one_exact_product(monkeypatch):
+    # gap products 1/2, 1/3 alternate, so 6^-80 is the product at stage 160, and
+    # its unreduced denominator 12^80 has outgrown the scan's precision there:
+    # the rounded enclosure straddles the threshold and the exact product decides
+    spec = ActionSpec("sixths", (), PeriodicTail((RankPair(3, 1), RankPair(2, 1))))
+    el = K0Element(0, 1 + 6**80, 1 - 6**80)  # u = 2, |v| = 2 * 6^80
+    calls = []
+    real = ActionSpec.range_product
+    monkeypatch.setattr(ActionSpec, "range_product", lambda *a: calls.append(a[1:]) or real(*a))
+    verdict = is_positive(spec, el)
+    assert verdict.witness == {"kind": "in_cone_at_stage", "stage": 160}
+    assert calls == [(0, 160)]
+    diff, size = real(spec, 0, 160)
+    assert abs(el.v) * diff == el.u * size
+
+
+def test_is_positive_scan_cap_is_reachable():
+    # gap products (999999/1000001)^n reach the threshold 1/2 only near n = 346,574
+    spec = ActionSpec("slow-million", (), PeriodicTail((RankPair(1000000, 1),)))
+    start = time.perf_counter()
+    verdict = is_positive(spec, K0Element(0, 3, -1))
+    assert time.perf_counter() - start < 2
+    assert verdict.decision == "unknown"
+    assert verdict.witness == {"kind": "scan_exhausted", "scanned_to": 65536, "cutoff": 64}
+
+
+_BOUNDARY_SCRIPT = """
+import time
+import afrokhlin as af
+car3 = af.fixture("car3")
+lower = af.gap_product_tail(car3, 1, 8192).lower
+n, d = lower.numerator, lower.denominator
+start = time.perf_counter()
+verdict = af.is_positive(car3, af.K0Element(1, n + d, n - d), 2048)
+print(verdict.witness["kind"], time.perf_counter() - start)
+"""
+
+
+def test_is_positive_boundary_element_finishes():
+    # the threshold is the lower end of the cutoff-8192 enclosure, 16,000 bits
+    # long, so the scan to stage 2048 carries 32,000-bit mantissas
+    r = subprocess.run([sys.executable, "-c", _BOUNDARY_SCRIPT], capture_output=True, text=True, timeout=30)
+    assert r.returncode == 0, r.stderr
+    kind, seconds = r.stdout.split()
+    assert kind == "tail_threshold_exceeded"
+    assert float(seconds) < 3
 
 
 def test_mat_mul_products():
