@@ -55,14 +55,20 @@ argparse failures (missing arguments, bad choices, unknown flags, ``--help``).
 Argparse wraps its messages at ``COLUMNS``, which is fixed to 80 here.  The
 exit code counts are printed with it.
 
-The six digests are recorded in ``output_digests.json`` next to this script.
+A seventh, ``cantor_large`` digest covers ``cantor --json`` on G-sets of
+200-1,200 points from the same generator, for seeds 0-39, where the action
+rows index more than 256 points: a free document, a non-free one and a
+malformed one (as for the ``cantor`` digest), each with singletons and with
+a block cover.  The exit code counts are printed with it.
+
+The seven digests are recorded in ``output_digests.json`` next to this script.
 The script compares what it computed against that file and exits 1, naming
 each digest that differs, so an intended output change is an edit to that
 file.  Run from anywhere:
 
     python3 scripts/output_digest.py
 
-``digests()`` returns the six computed digests by name;
+``digests()`` returns the seven computed digests by name;
 ``tests/test_output_digest.py`` compares them with that file in-process.
 
 It imports the package from the ``src`` directory next to this script.
@@ -94,6 +100,7 @@ from specgen import random_spec  # noqa: E402
 SEEDS = range(500)
 CUTOFFS = (1, 64, 200)
 CANTOR_SEEDS = range(300)
+CANTOR_LARGE_SEEDS = range(40)
 TORSION_SEEDS = range(20)
 RECORDED = Path(__file__).resolve().with_name("output_digests.json")
 _VERSION_RE = re.compile(r'"tool_version": "[^"]*"')
@@ -432,12 +439,49 @@ def cantor_digest() -> str:
     return digest.hexdigest()
 
 
+def cantor_large_digest() -> str:
+    digest = hashlib.sha256()
+    codes: Counter = Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def write(name: str, obj) -> str:
+            path = Path(tmp) / name
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            return str(path)
+
+        for seed in CANTOR_LARGE_SEEDS:
+            rng = random.Random(f"cantor_large/{seed}")
+            kind = rng.choice(("cyclic", "dihedral", "product"))
+            order = rng.choice((4, 6, 8, 12, 16)) if kind != "cyclic" else rng.randint(2, 16)
+            # one document in four sits next to 256 points
+            target = 256 if rng.random() < 0.25 else rng.randint(200, 1200)
+            n = order * max(round(target / order), -(-200 // order))
+            doc, orbits = docs.gset_doc(rng, kind, order, n)
+            cover = write(f"cover{seed}.json", docs.block_cover(rng, doc, orbits, 4))
+            fixed = rng.choice(("point", "involution"))
+            nonfree, _ = docs.gset_doc(rng, kind, order, n, fixed)
+            how = rng.choice(("associativity", "compatibility", "identity", "structure", "entries"))
+            if how == "entries":
+                malformed = broken_entries(rng, doc)
+            else:
+                malformed = docs.malformed(rng, doc, how)
+            for name, gset in (("free", doc), ("nonfree", nonfree), ("malformed", malformed)):
+                path = write(f"{name}{seed}.json", gset)
+                for argv in (["cantor", path, "--json"], ["cantor", path, "--cover", cover, "--json"]):
+                    rc, _ = hashed_run(digest, argv, tmp)
+                    codes[rc] += 1
+    print(f"cantor_large {digest.hexdigest()}")
+    print("cantor_large exit codes: " + ", ".join(f"{rc}: {codes[rc]}" for rc in sorted(codes)))
+    return digest.hexdigest()
+
+
 def digests() -> dict[str, str]:
-    """The six digests by name, each printed with its counts as it is computed."""
+    """The seven digests by name, each printed with its counts as it is computed."""
     return {
         "main": main_digest(),
         "positivity": positivity_digest(),
         "cantor": cantor_digest(),
+        "cantor_large": cantor_large_digest(),
         "traces": traces_digest(),
         "ranges": ranges_digest(),
         "frontend": frontend_digest(),

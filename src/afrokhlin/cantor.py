@@ -21,7 +21,18 @@ exactly when it has n/k points.
 Costs: validation is O(k² log k + k·n log k), because the axioms are
 checked only against a generating set of at most log2 k elements (Light's
 associativity test, Clifford & Preston, The Algebraic Theory of
-Semigroups I, §1.2).  The orbit labels are one C-level O(k·n) pass, shared
+Semigroups I, §1.2).  Each check of a generator a composes every row g
+with row a in one C call: bytes.translate on byte rows when the rows index
+at most 256 points, one itemgetter built per generator above that, where a
+row no longer fits in bytes.  The switch is read from the input (n for the
+action, k for the table), and both sides stay because G-sets of either size
+are common.  Python work per entry is then one flat type pass and a range
+check.  No row of an accepted action is scanned for being a permutation:
+compatibility on the generators gives it for all of G, so act[g] composed
+with act[g⁻¹] is act[e], the identity, and every row is a bijection.  The
+same holds for the table, whose row g*a is row g composed with row a once
+it is associative.  Only a rejected document is scanned, to name its first
+broken axiom.  The orbit labels are one C-level O(k·n) pass, shared
 by the freeness test, the default cover and the tower; only a non-free
 action pays for the row scan that names its first fixed point.  A tower
 is then Python work in O(n + Σ|K|) over the cover sets K, in place of
@@ -83,7 +94,8 @@ class FiniteGSet:
             raise InvalidGSet(f"element name {name!r} is repeated")
         if any(len(row) != k for row in table):
             raise InvalidGSet("multiplication table must be square")
-        if not _entries_in_range(table, k):
+        trows = _index_rows(table, k)
+        if trows is None:
             raise InvalidGSet("multiplication table entries out of range")
         identity = None
         for e in range(k):
@@ -92,40 +104,46 @@ class FiniteGSet:
                 break
         if identity is None:
             raise InvalidGSet("multiplication table has no identity element")
-        # entries are integers in range, so a row of k distinct ones is a permutation
-        for g in range(k):
-            if len(set(table[g])) != k:
-                raise InvalidGSet(f"row {g} of the multiplication table is not a permutation")
         generators = _generators(table, identity)
+        # column a of the table: g*a for every g
+        columns = [[row[a] for row in trows] for a in generators]
         # Light's test: the elements a with (g*a)*l == g*(a*l) for all g, l
         # are closed under the product, so checking generators suffices.
-        for a in generators:
+        # Then row g*a is row g composed with row a, and every element is a
+        # product of generators, so every row is a permutation once theirs
+        # are; only a rejected table is scanned for the first row that is not.
+        touter = _outer_rows(trows)
+        if not all(
+            len(set(trows[a])) == k and _composes(trows, touter, column, trows[a])
+            for a, column in zip(generators, columns)
+        ):
+            # entries are integers in range, so a row of k distinct ones is a permutation
             for g in range(k):
-                if tuple(table[table[g][a]]) != _compose(table[g], table[a]):
-                    raise InvalidGSet("multiplication table is not associative")
+                if len(set(trows[g])) != k:
+                    raise InvalidGSet(f"row {g} of the multiplication table is not a permutation")
+            raise InvalidGSet("multiplication table is not associative")
         if len(action) != k or any(len(row) != n for row in action):
             raise InvalidGSet("action table must have one row of size |X| per group element")
-        if not _entries_in_range(action, n):
+        arows = _index_rows(action, n)
+        if arows is None:
             raise InvalidGSet("action table entries out of range")
         if list(action[identity]) != list(range(n)):
             raise InvalidGSet("identity must act trivially")
         # With associativity and a trivial identity, the h with
         # act[g*h] == act[g] o act[h] for all g are closed under the product,
-        # so the action is compatible iff it is on the generators.
-        compatible = all(
-            tuple(action[table[g][a]]) == _compose(action[g], action[a])
-            for a in generators
-            for g in range(k)
-        )
-        bad_row = next((g for g in range(k) if len(set(action[g])) != n), k)
-        if bad_row < k or not compatible:
-            # Rejected: name the same axiom as a check of every row in order,
-            # each row for being a permutation and then for compatibility.
-            for g in range(bad_row):
-                for h in range(k):
-                    if tuple(action[table[g][h]]) != _compose(action[g], action[h]):
-                        raise InvalidGSet("action is not compatible with the group product")
-            raise InvalidGSet(f"group element {bad_row} does not act by a permutation")
+        # so the action is compatible iff it is on the generators.  Then
+        # act[g] o act[g^-1] == act[e] is the identity, so every row is a
+        # permutation and only a rejected action is scanned for one.
+        aouter = _outer_rows(arows)
+        if not all(_composes(arows, aouter, column, arows[a]) for a, column in zip(generators, columns)):
+            # Name the same axiom as a check of every row in order, each row
+            # for being a permutation and then for compatibility.  Some row is
+            # incompatible, so the scan stops at a row or at an incompatibility.
+            bad_row = next((g for g in range(k) if len(set(arows[g])) != n), k)
+            before = trows[:bad_row]
+            if all(_composes(arows, aouter, [row[h] for row in before], arows[h]) for h in range(k)):
+                raise InvalidGSet(f"group element {bad_row} does not act by a permutation")
+            raise InvalidGSet("action is not compatible with the group product")
         object.__setattr__(self, "_identity", identity)
 
     @property
@@ -166,18 +184,40 @@ class FiniteGSet:
 _INDEX_TYPES = {int, bool}
 
 
-def _entries_in_range(rows, bound: int) -> bool:
-    """Every entry of the (nonempty) rows is an integer in range(bound)."""
-    return all(
-        set(map(type, row)) <= _INDEX_TYPES and min(row) >= 0 and max(row) < bound
-        for row in rows
-    )
+def _index_rows(rows, bound: int) -> list | None:
+    """The (nonempty) rows as bytes when bound <= 256, as tuples above that;
+    None unless every entry is an integer in range(bound).
+
+    The types are checked first, over all rows at once, because bytes() also
+    takes int subclasses and objects with __index__."""
+    if not set(map(type, chain.from_iterable(rows))) <= _INDEX_TYPES:
+        return None
+    if bound <= 256:
+        try:
+            rows = list(map(bytes, rows))
+        except ValueError:  # an entry outside range(256)
+            return None
+        # deleting every byte in range leaves the entries outside it
+        return None if b"".join(rows).translate(None, bytes(range(bound))) else rows
+    rows = list(map(tuple, rows))
+    return rows if min(map(min, rows)) >= 0 and max(map(max, rows)) < bound else None
 
 
-def _compose(outer, inner) -> tuple:
-    """The row x -> outer[inner[x]]."""
-    # itemgetter of a single index returns the entry, not a 1-tuple
-    return itemgetter(*inner)(outer) if len(inner) > 1 else (outer[inner[0]],)
+def _outer_rows(rows: list) -> list:
+    """The rows of _index_rows as _composes takes them for its outer maps:
+    bytes.translate reads a table of 256 bytes, so byte rows are padded,
+    once per table."""
+    if not isinstance(rows[0], bytes):
+        return rows
+    pad = bytes(256 - len(rows[0]))
+    return [row + pad for row in rows]
+
+
+def _composes(rows: list, outer: list, column, inner) -> bool:
+    """rows[column[g]] is the row x -> outer[g][inner[x]] for every g in
+    range(len(column)): one bytes.translate or one itemgetter call per row."""
+    compose = inner.translate if isinstance(inner, bytes) else itemgetter(*inner)
+    return all(map(eq, map(rows.__getitem__, column), map(compose, outer)))
 
 
 def _generators(table, identity: int) -> list[int]:
@@ -254,8 +294,8 @@ def greedy_tower(gs: FiniteGSet, cover) -> Tower:
     _require_free(gs)
     cover = list(map(frozenset, cover))
     indices = list(chain.from_iterable(cover))
-    if indices and not _entries_in_range([indices], gs.size):
-        idx = next(i for i, k in enumerate(cover) if k and not _entries_in_range([k], gs.size))
+    if indices and _index_rows([indices], gs.size) is None:
+        idx = next(i for i, k in enumerate(cover) if k and _index_rows([k], gs.size) is None)
         raise InvalidCover(f"cover set {idx} has a point not in range({gs.size})", idx)
     orbit_of = gs.orbit_min.__getitem__
     ids = list(map(orbit_of, indices))
@@ -304,7 +344,11 @@ def gset_from_json(obj) -> FiniteGSet:
     if not isinstance(group, dict) or "table" not in group:
         raise InvalidGSet("'group' must be an object with a 'table'")
     table = group["table"]
-    if not isinstance(table, list) or len(table) != group.get("order", len(table)):
+    if not isinstance(table, list):
+        raise InvalidGSet(_BAD_TABLE)
+    # 2.0 and true compare equal to a length, but are no order
+    order = group.get("order", len(table))
+    if type(order) is not int or order != len(table):
         raise InvalidGSet(_BAD_TABLE)
     action = obj.get("action")
     if not isinstance(action, list):

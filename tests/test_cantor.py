@@ -559,10 +559,167 @@ def test_generating_set_has_at_most_log2_order_elements():
         assert len(generators) <= k.bit_length() - 1, (k, generators)
 
 
+class Index(int):
+    pass
+
+
+class Indexable:
+    """Not an int, but bytes() and range() take it as one."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def _swapped_pairs(n: int):
+    """The free Z/2 action on n (even) points that swaps 2i and 2i + 1."""
+    return (tuple(range(n)), tuple(x ^ 1 for x in range(n)))
+
+
+def _with_entry(rows, g: int, x: int, value):
+    return tuple(row[:x] + (value,) + row[x + 1 :] if i == g else row for i, row in enumerate(rows))
+
+
 def test_non_integer_entries_are_rejected():
     with pytest.raises(InvalidGSet, match="multiplication table entries out of range"):
         FiniteGSet(("a", "b"), ((0, 1.0), (1.0, 0)), ((0, 1), (1, 0)))
     with pytest.raises(InvalidGSet, match="action table entries out of range"):
         FiniteGSet(("a", "b"), GROUP_Z2, ((0, 1), (1, "a")))
-    # JSON true and false keep working as 1 and 0
-    assert FiniteGSet(("a", "b"), ((False, True), (True, False)), ((0, 1), (1, 0))).identity == 0
+    # an int subclass or an __index__ object, in a table and in an action,
+    # with rows of bytes (at most 256 points) and of tuples (more)
+    for make in (Index, Indexable):
+        for k in (2, 257):
+            table = cyclic_group(k)
+            names = tuple(f"x{i}" for i in range(k))
+            with pytest.raises(InvalidGSet, match="^multiplication table entries out of range$"):
+                FiniteGSet(names, _with_entry(table, k - 1, 1, make(table[k - 1][1])), table)
+        for n in (4, 300):
+            names = tuple(f"x{i}" for i in range(n))
+            action = _swapped_pairs(n)
+            with pytest.raises(InvalidGSet, match="^action table entries out of range$"):
+                FiniteGSet(names, GROUP_Z2, _with_entry(action, 1, n - 1, make(action[1][n - 1])))
+    # JSON true and false keep working as 1 and 0, in bytes and in tuples
+    for n in (2, 300):
+        names = tuple(f"x{i}" for i in range(n))
+        flags = tuple(tuple(bool(x) if x < 2 else x for x in row) for row in _swapped_pairs(n))
+        for action in (_swapped_pairs(n), flags):
+            assert FiniteGSet(names, ((False, True), (True, False)), action).identity == 0
+
+
+@pytest.mark.parametrize("order, table", [(2.0, [[0, 1], [1, 0]]), (True, [[0]])])
+def test_non_integer_order_is_rejected(order, table):
+    """2.0 and true compare equal to the number of rows, but are no order."""
+    doc = {"elements": ["a", "b"], "group": {"order": order, "table": table}, "action": [[0, 1]] * len(table)}
+    with pytest.raises(InvalidGSet, match="^'group.table' must be a list of rows matching 'order'$"):
+        gset_from_json(doc)
+    doc["group"]["order"] = len(table)
+    assert gset_from_json(doc).order == len(table)
+
+
+_SWITCH_SIZES = (255, 256, 257, 300)
+
+
+def _gset_of_size(rng: random.Random, table, n: int, free: bool) -> FiniteGSet:
+    """A G-set on exactly n points: regular orbits when free (the order
+    divides n), otherwise orbits G/<g> for random g while they fit and then
+    fixed points, in shuffled order."""
+    k = len(table)
+    e = next(g for g in range(k) if table[g][g] == g)
+    if free:
+        return build_gset(table, [frozenset({e})] * (n // k), rng)
+    orbits, total = [], 0
+    while True:
+        g = x = rng.randrange(k)
+        H = {e}
+        while x not in H:
+            H.add(x)
+            x = table[x][g]
+        if total + k // len(H) > n:
+            break
+        orbits.append(frozenset(H))
+        total += k // len(H)
+    orbits += [frozenset(range(k))] * (n - total)
+    rng.shuffle(orbits)
+    return build_gset(table, orbits, rng)
+
+
+def _mutate_at_the_switch(rng: random.Random, gs: FiniteGSet):
+    """Up to three entries overwritten with a value at an edge of the range
+    or of a byte, or swapped within a row; mostly in the action."""
+    table = [list(row) for row in gs.table]
+    action = [list(row) for row in gs.action]
+    for _ in range(rng.randint(0, 3)):
+        rows, size = (table, gs.order) if rng.random() < 0.25 else (action, gs.size)
+        row = rng.choice(rows)
+        i, j = rng.randrange(len(row)), rng.randrange(len(row))
+        if rng.random() < 0.3:
+            row[i], row[j] = row[j], row[i]
+        else:
+            row[i] = rng.choice((size - 1, size, 255, 256, -1, True, 2**70))
+    return tuple(map(tuple, table)), tuple(map(tuple, action))
+
+
+def test_validation_and_towers_match_reference_across_the_256_point_switch():
+    """Groups of order <= 12 on 255, 256, 257 and about 300 points, rows of
+    bytes below the switch and of tuples above it, with entries broken at
+    n - 1, n, 255, 256, -1, True and 2**70: the same rejection, fixed point
+    and greedy base as the references."""
+    seen = Counter()
+    for seed in range(400):
+        rng = random.Random(f"switch/{seed}")
+        n = rng.choice(_SWITCH_SIZES)
+        free = rng.random() < 0.5
+        groups = [t for t in SMALL_GROUPS if n % len(t) == 0] if free else SMALL_GROUPS
+        gs = _gset_of_size(rng, relabel_group(rng, rng.choice(groups)), n, free)
+        table, action = _mutate_at_the_switch(rng, gs)
+        got = _outcome(FiniteGSet, gs.elements, table, action)
+        assert got == _reference_validation(gs.elements, table, action), seed
+        seen[(gs.size > 256, got if got == "accepted" else got[1].split(" ")[-1])] += 1
+        if got != "accepted":
+            continue
+        mutated = FiniteGSet(gs.elements, table, action)
+        witness = reference_fixed_point(mutated)
+        assert is_free(mutated) == (witness is None, witness), seed
+        for cover in _covers(rng, mutated)[:2]:
+            got = _outcome(greedy_tower, mutated, cover)
+            assert got == _outcome(reference_greedy_tower, mutated, cover), seed
+            seen[(gs.size > 256, got[0])] += 1
+    for above in (False, True):
+        for outcome in ("accepted", "tower", "NotFreeError", "range", "product", "trivially"):
+            assert any(key == (above, outcome) for key in seen), (above, outcome, seen)
+
+
+def test_cyclic_group_of_order_257_acting_on_itself():
+    """Table and action rows above the switch: accepted, and a broken table
+    entry rejected with the reference's message; the reference's
+    associativity check stops at the first failing triple, so only tables
+    whose failure comes early are given to it."""
+    table = cyclic_group(257)
+    names = tuple(f"x{i}" for i in range(257))
+    gs = FiniteGSet(names, table, table)
+    assert is_free(gs) == (True, None)
+    assert verify_tower(gs, greedy_tower(gs, default_cover(gs)))
+    row1 = table[1]
+    broken = [
+        _with_entry(table, 1, 5, 257),
+        _with_entry(table, 1, 5, -1),
+        _with_entry(table, 1, 5, 2**70),
+        _with_entry(table, 1, 5, True),  # a repeated entry in row 1
+        _with_entry(table, 200, 3, 3),  # a repeated entry in a later row
+        _with_entry(_with_entry(table, 1, 5, row1[6]), 1, 6, row1[5]),  # not associative
+    ]
+    for bad in broken:
+        got = _outcome(FiniteGSet, names, bad, table)
+        assert got != "accepted" and got == _reference_validation(names, bad, table), got
+    # the reference's associativity check alone runs 257**3 triples, so the
+    # action's messages are spelled out
+    for g, value, message in (
+        (1, 257, "action table entries out of range"),
+        (1, 3, "group element 1 does not act by a permutation"),
+        (200, 3, "action is not compatible with the group product"),
+    ):
+        assert _outcome(FiniteGSet, names, table, _with_entry(table, g, 7, value)) == (
+            "InvalidGSet", message, None, None
+        )

@@ -9,6 +9,8 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 from afrokhlin import (
     ActionSpec,
@@ -261,8 +263,10 @@ def test_snf_randomized(rows, cols, data):
     st.data(),
 )
 def test_snf_matches_reference(rows, cols, data):
-    """The pivot loop against the closure-based reference, on matrices up to
-    8 x 8 with large entries and with whole zero rows and columns."""
+    """The pivot loop against the closure-based reference and against
+    sympy's invariant factors, an implementation written separately, on
+    matrices up to 8 x 8 with large entries and with whole zero rows and
+    columns."""
     bound = data.draw(st.sampled_from([9, 10**6]))
     entry = st.integers(min_value=-bound, max_value=bound)
     mat = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
@@ -271,7 +275,9 @@ def test_snf_matches_reference(rows, cols, data):
     for j in data.draw(st.sets(st.integers(min_value=0, max_value=cols - 1))):
         for row in mat:
             row[j] = 0
-    assert _smith_diagonal(mat) == reference_smith_diagonal(mat), mat
+    diagonal = _smith_diagonal(mat)
+    assert diagonal == reference_smith_diagonal(mat), mat
+    assert tuple(diagonal) == invariant_factors(Matrix(mat), domain=ZZ), mat
 
 
 # ----------------------------------------------------------------------------

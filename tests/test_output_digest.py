@@ -1,7 +1,7 @@
 """Byte identity of the tool's outputs as a test.
 
 ``scripts/output_digest.py`` hashes the CLI outputs of about 45,000 in-process
-calls into six digests (see its docstring for what each covers).  This test
+calls into seven digests (see its docstring for what each covers).  This test
 computes them and compares them with ``scripts/output_digests.json``, so any
 change to an output byte fails here until that file is edited on purpose.
 It takes about 20 s.
