@@ -45,7 +45,6 @@ from .ktheory import (
 from .products import (
     DEFAULT_CUTOFF,
     TailPositive,
-    TailProductResult,
     TailZero,
     condense,
     gap_product,

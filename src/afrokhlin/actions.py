@@ -28,8 +28,8 @@ Every product over a run of factors reads ``ActionSpec.split_stream(m)``,
 the factors m+1, m+2, ... as integers (x, y, A, P) with p - q = x*P + y and
 p + q = A*P: P = 1 and y = 0 for prefix and periodic factors, and for an
 affine tail a running power P = B**j with x = s*c, y = s*2*beta, s the sign
-of c*P + 2*beta.  It builds no ``RankPair``, and ``factor_stream`` is its
-view ``(p - q, p + q)``.
+of c*P + 2*beta.  It builds no ``RankPair``, ``factor_stream`` is its view
+``(p - q, p + q)``, and `products._exact_walk` multiplies its running products.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import cycle
 from typing import ClassVar
 
 
@@ -357,28 +357,6 @@ class ActionSpec:
     def factor_stream(self, m: int):
         """Yield (p - q, p + q) of the normalized factors m+1, m+2, ..."""
         return ((x * P + y, A * P) for x, y, A, P in self.split_stream(m))
-
-    def partial_products(self, m: int):
-        """Yield (n, diff, size) for n = m, m + 1, ...: the unreduced products
-        of the rank differences p - q and of the matrix sizes p + q of factors
-        m+1 .. n.  Factors are read off ``factor_stream(m)`` as the walk
-        advances."""
-        n, diff, size = m, 1, 1
-        yield n, diff, size
-        for d, s in self.factor_stream(m):
-            n += 1
-            diff *= d
-            size *= s
-            yield n, diff, size
-
-    def range_product(self, m: int, n: int) -> tuple[int, int]:
-        """(diff, size) of ``partial_products(m)`` at n; empty ranges give (1, 1)."""
-        if m < 0:
-            raise ValueError(f"range start must be >= 0, got {m}")
-        if n < m:
-            raise ValueError(f"range end {n} precedes start {m}")
-        _, diff, size = next(islice(self.partial_products(m), n - m, None))
-        return diff, size
 
 
 # ----------------------------------------------------------------------------

@@ -127,7 +127,7 @@ class FiniteGSet:
         arows = _index_rows(action, n)
         if arows is None:
             raise InvalidGSet("action table entries out of range")
-        if list(action[identity]) != list(range(n)):
+        if arows[identity] != type(arows[identity])(range(n)):
             raise InvalidGSet("identity must act trivially")
         # With associativity and a trivial identity, the h with
         # act[g*h] == act[g] o act[h] for all g are closed under the product,

@@ -28,11 +28,10 @@ from .actions import (
     supernatural_of_algebra,
 )
 from .citations import cite
-from .intervals import RatInterval, round_down, round_up
+from .intervals import round_down, round_up
 from .products import (
     _GUARD_BITS,
     DEFAULT_CUTOFF,
-    TailZero,
     first_zero_gap_after,
     gap_product_tail,
 )
@@ -131,7 +130,7 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
         ends = _shallow_witness(spec, m, cutoff)
     if ends is None:
         result = gap_product_tail(spec, m, cutoff)
-        if isinstance(result, TailZero):
+        if result.hi == 0:
             witness: dict = {"kind": "vanishing_tail_products"}
             if result.zero_index is not None:
                 witness["recurring_zero_gap_index"] = result.zero_index
@@ -139,7 +138,7 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
                 witness["divergence"] = result.divergence
             witness.update(spec.tail.gap_limit())
             return Verdict(YES, witness, anchors)
-        if isinstance(result, RatInterval):
+        if result.lo == 0:
             return Verdict(
                 UNKNOWN,
                 {
@@ -151,7 +150,7 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
                 anchors,
             )
         # witness endpoints are rounded outward, so they still bracket the limit
-        ends = round_down(result.lower), round_up(result.upper)
+        ends = round_down(result.lo), round_up(result.hi)
     return Verdict(
         NO,
         {"kind": "positive_tail_product", "m": m, "lower": ends[0], "upper": ends[1]},
@@ -200,7 +199,7 @@ def _shallow_witness(
         return None
     enc = gap_product_tail(spec, m, d)
     slack = 2 * tail.remainder_bound(base + d)
-    lo, hi = enc.lower, enc.upper
+    lo, hi = enc.lo, enc.hi
     return _fixed_witness((lo * (1 - slack), hi), (lo, min(hi * (1 + slack), 1)))
 
 

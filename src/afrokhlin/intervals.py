@@ -2,8 +2,8 @@
 
 A `RatInterval` is a validated pair of Fraction ends lo <= hi, built from ints or
 Fractions only (no floating point), exact when lo == hi: every trace weight and every
-undecided tail product [0, P] is one.  The rounding helpers turn a rational into a short
-decimal below it, above it, or below it but above a bound, sized from bit lengths.
+tail product is one.  The rounding helpers turn a rational into a short decimal below
+it, above it, or below it but above a bound, sized from bit lengths.
 """
 
 from __future__ import annotations

@@ -5,13 +5,13 @@ K0 of the crossed product is the colimit of Z^2 under the symmetric stage
 matrices [[p_n, q_n], [q_n, p_n]].  In the coordinates u = a + b, v = a - b
 each stage map is diagonal: u scales by the matrix size k_n, v by the rank
 difference p_n - q_n.  `push_forward` works in this diagonal form, scaling u
-and v by the products of the factor walk `ActionSpec.partial_products`, and
+and v by the exact products of `products.range_product`, and
 `is_positive` scans the stage products rounded outward to the precision that
 the threshold needs (`_cone_scan`).  Equality and positivity of
 colimit classes are decided lazily from these scalings together with
 gap-product thresholds: a class with u > 0 is positive exactly when
-|v| * gap_product(stage, N) <= u at some finite stage N, which the certified
-tail enclosures resolve.
+|v| * gap_product(stage, N) <= u at some finite stage N, which the ends of
+the certified tail enclosure resolve.
 
 The presentation engine computes colimits of a fixed finitely generated
 abelian presentation under an eventually periodic sequence of self-maps.  It
@@ -38,15 +38,14 @@ from .actions import (
 )
 from .citations import cite
 from .classify import NO, UNKNOWN, YES, Verdict, strict_rokhlin_verdict
-from .intervals import RatInterval, round_down, round_down_above, round_up
+from .intervals import round_down, round_down_above, round_up
 from .products import (
     _GUARD_BITS,
     DEFAULT_CUTOFF,
-    TailPositive,
-    TailZero,
     _gap_walk,
     first_zero_gap_after,
     gap_product_tail,
+    range_product,
 )
 
 
@@ -86,7 +85,7 @@ def flip(el: K0Element) -> K0Element:
 def push_forward(spec: ActionSpec, el: K0Element, to_stage: int) -> K0Element:
     if to_stage < el.stage:
         raise ValueError(f"cannot push stage {el.stage} back to stage {to_stage}")
-    diff, size = spec.range_product(el.stage, to_stage)
+    diff, size = range_product(spec, el.stage, to_stage)
     u, v = el.u * size, el.v * diff
     return K0Element(to_stage, (u + v) // 2, (u - v) // 2)
 
@@ -166,7 +165,7 @@ def is_positive(
 
     ratio = Fraction(u, absv)
     tail = gap_product_tail(spec, s, cutoff)
-    if isinstance(tail, RatInterval):
+    if tail.lo == 0 < tail.hi:
         return Verdict(
             UNKNOWN,
             {
@@ -177,17 +176,17 @@ def is_positive(
             },
             anchors,
         )
-    # A tail that is positive at this cutoff stays positive at every larger
-    # one; refine until the enclosure separates from the threshold.
+    # A zero tail has hi = 0 < ratio, and a positive one stays positive at every
+    # larger cutoff; refine until the enclosure separates from the threshold.
     doublings = 0
-    while isinstance(tail, TailPositive) and tail.upper >= ratio:
-        if tail.lower > ratio:
+    while tail.hi >= ratio:
+        if tail.lo > ratio:
             return Verdict(
                 NO,
                 {
                     "kind": "tail_threshold_exceeded",
                     "threshold": ratio,
-                    "tail_lower": round_down_above(tail.lower, ratio),
+                    "tail_lower": round_down_above(tail.lo, ratio),
                 },
                 anchors,
             )
@@ -202,7 +201,7 @@ def is_positive(
             n, inside = next(scan)
         if inside:
             return Verdict(YES, {"kind": "in_cone_at_stage", "stage": n}, anchors)
-        if isinstance(tail, TailZero):
+        if tail.hi == 0:
             return Verdict(
                 UNKNOWN,
                 {"kind": "scan_exhausted", "scanned_to": n, "cutoff": cutoff},
@@ -213,7 +212,7 @@ def is_positive(
         {
             "kind": "threshold_boundary",
             "threshold": ratio,
-            "interval": [round_down(tail.lower), round_up(tail.upper)],
+            "interval": [round_down(tail.lo), round_up(tail.hi)],
             "cutoff": cutoff,
         },
         anchors,
@@ -227,7 +226,7 @@ def _cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
     _GUARD_BITS: exact while their denominator fits, then rounded outward to
     lo <= gap_product * den <= hi.  A rounded stage is inside when |v| * hi <=
     u * den and outside when |v| * lo > u * den; only a stage whose enclosure
-    straddles the threshold multiplies out the exact `spec.range_product`.
+    straddles the threshold multiplies out the exact `range_product`.
     """
     prec = u.bit_length() + absv.bit_length() + _GUARD_BITS
     for n, (lo, hi, den) in enumerate(_gap_walk(spec, s, prec), s):
@@ -237,7 +236,7 @@ def _cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
         elif lo == hi or absv * lo > bound:
             yield n, False
         else:
-            diff, size = spec.range_product(s, n)
+            diff, size = range_product(spec, s, n)
             yield n, absv * diff <= u * size
 
 

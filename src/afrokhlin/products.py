@@ -5,27 +5,27 @@ Every factor ``(p, q)`` carries a gap ratio ``(p - q) / (p + q)`` in [0, 1]
 finite products of gap ratios over factor ranges and their limits along the
 tail.  A tail product is zero exactly when some later factor has gap zero or
 the sum of ``1 - gap`` diverges; each supported tail family admits a closed
-form divergence test, so the zero/positive decision is exact.  Positive tail
-products are certified by rational intervals: a partial product P times a
-geometric remainder bound r, giving [P * (1 - r), P].  When r is zero
-(periodic tails, affine tails whose smaller rank settles to zero) P is the
-exact limit and stays an exact fraction.  Otherwise P * (1 - r) lies within
-about P * r**2 of the limit, so P is needed to about 2 * log2(1/r) bits and
-no more: it is enclosed by dyadic numbers rounded outward (lower end down,
-upper end up) at a working precision derived from r alone.  Factors are
-multiplied exactly, with unreduced integer numerator and denominator, while
-that denominator fits the precision, so a short product comes back exact.
-A tail whose certificate needs more than the cutoff is the enclosure [0, P].
+form divergence test, so the zero/positive decision is exact.  Every tail
+result is a `RatInterval` read by its ends: `TailZero` [0, 0] with a witness,
+the undecided [0, P] when the certificate needs more than the cutoff, and
+`TailPositive` [P * (1 - r), P] for a partial product P and a geometric
+remainder bound r.  When r is zero (periodic tails, affine tails whose
+smaller rank settles to zero) P is the exact limit and stays an exact
+fraction.  Otherwise P * (1 - r) lies within about P * r**2 of the limit, so
+P is needed to about 2 * log2(1/r) bits and no more: it is enclosed by dyadic
+numbers rounded outward (lower end down, upper end up) at a working precision
+derived from r alone.
 
 Every product reads the factors after a range start from one stream,
 `ActionSpec.split_stream`, in split form: p - q = x*P + y and p + q = A*P,
-with P = B**j for an affine tail factor and P = 1, y = 0 otherwise.  Finite
-products come from `ActionSpec.partial_products`, a walk over its view
-`factor_stream` (pairs p - q, p + q), which `gap_product` and `condense` read.
+with P = B**j for an affine tail factor and P = 1, y = 0 otherwise.  One walk,
+`_exact_walk`, multiplies the running unreduced products of p - q and p + q,
+drawing a factor only when asked; `range_product`, which `gap_product`,
+`condense` and `ktheory` read, takes one item of it.
 The rounded walk `_gap_walk`, which gives the tail enclosures and the
-positivity scan of `ktheory.is_positive` every stage product, multiplies the
-split stream exactly until the denominator outgrows the precision, then
-rounds, taking a mantissa V to
+positivity scan of `ktheory.is_positive` every stage product, reads the exact
+walk until the denominator outgrows the precision, then rounds from the next
+factor of the same stream, taking a mantissa V to
 floor((V*x + floor(V*y / P)) / A) = floor(V*(x*P + y) / (A*P)), because
 floor(z / A) = floor(floor(z) / A).  No operand has the bits of P: a rounded
 step costs O(prec) when P is a power of two and one division by P otherwise.
@@ -49,40 +49,66 @@ _GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
-class TailZero:
-    """The tail product is exactly zero.
+class TailZero(RatInterval):
+    """The tail product is exactly zero: the enclosure [0, 0] with a witness.
 
     Exactly one witness field is set: ``zero_index`` points at a factor with
     gap zero beyond the range start, ``divergence`` names the comparison test
     certifying that the sum of (1 - gap) diverges.
     """
 
+    lo: Fraction = Fraction(0)
+    hi: Fraction = Fraction(0)
     zero_index: int | None = None
     divergence: str | None = None
 
     def __post_init__(self):
         if (self.zero_index is None) == (self.divergence is None):
             raise ValueError("TailZero needs exactly one witness")
+        super().__post_init__()
+        if self.hi != 0 or self.lo != 0:
+            raise ValueError(f"a zero tail is the enclosure [0, 0], got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
-class TailPositive:
-    """Certified enclosure 0 < lower <= true tail product <= upper <= 1."""
-
-    lower: Fraction
-    upper: Fraction
+class TailPositive(RatInterval):
+    """Certified enclosure 0 < lo <= true tail product <= hi <= 1."""
 
     def __post_init__(self):
-        if not (0 < self.lower <= self.upper <= 1):
-            raise ValueError(f"invalid positive enclosure [{self.lower}, {self.upper}]")
+        # before RatInterval's own checks, so a reversed pair names the tail
+        if not (0 < self.lo <= self.hi <= 1):
+            raise ValueError(f"invalid positive enclosure [{self.lo}, {self.hi}]")
+        super().__post_init__()
+
+    # the ends under their earlier names, read-only
+    lower = property(lambda self: self.lo)
+    upper = property(lambda self: self.hi)
 
 
-TailProductResult = TailZero | TailPositive | RatInterval
+def _exact_walk(stream):
+    """Yield (diff, size), the unreduced products of p - q and of p + q over
+    the first 0, 1, 2, ... factors of a split stream; a factor is drawn only
+    when the item that needs it is asked for."""
+    diff = size = 1
+    yield diff, size
+    for x, y, A, P in stream:
+        diff *= x * P + y
+        size *= A * P
+        yield diff, size
+
+
+def range_product(spec: ActionSpec, m: int, n: int) -> tuple[int, int]:
+    """(diff, size) of `_exact_walk` over factors m+1 .. n; empty ranges give (1, 1)."""
+    if m < 0:
+        raise ValueError(f"range start must be >= 0, got {m}")
+    if n < m:
+        raise ValueError(f"range end {n} precedes start {m}")
+    return next(islice(_exact_walk(spec.split_stream(m)), n - m, None))
 
 
 def gap_product(spec: ActionSpec, m: int, n: int) -> Fraction:
     """Product of the gap ratios of factors m+1 .. n; empty ranges give 1."""
-    return Fraction(*spec.range_product(m, n))
+    return Fraction(*range_product(spec, m, n))
 
 
 def condense(spec: ActionSpec, m: int, n: int) -> RankPair:
@@ -94,7 +120,7 @@ def condense(spec: ActionSpec, m: int, n: int) -> RankPair:
     """
     if m < 0 or n <= m:
         raise ValueError(f"condense needs a nonempty range 0 <= m < n, got {m}..{n}")
-    diff, size = spec.range_product(m, n)
+    diff, size = range_product(spec, m, n)
     return RankPair((size + diff) // 2, (size - diff) // 2)
 
 
@@ -112,12 +138,13 @@ def first_zero_gap_after(spec: ActionSpec, stage: int) -> int | None:
 
 def gap_product_tail(
     spec: ActionSpec, m: int, cutoff: int = DEFAULT_CUTOFF
-) -> TailProductResult:
+) -> RatInterval:
     """Decide the limit of gap_product(spec, m, n) as n grows.
 
-    Returns TailZero with a witness (a later zero gap, or a named divergence
-    test for the sum of 1 - gap), TailPositive with a certified rational
-    enclosure, or the undecided enclosure RatInterval(0, partial product) when
+    The result is an enclosure read by its ends: TailZero, [0, 0], with a
+    witness (a later zero gap, or a named divergence test for the sum of
+    1 - gap) when hi == 0; TailPositive, a certified enclosure, when lo > 0;
+    and the undecided RatInterval(0, partial product) when lo == 0 < hi, as
     the geometric certificate does not engage within ``cutoff`` tail factors.
     """
     if m < 0:
@@ -192,9 +219,9 @@ def _gap_walk(spec: ActionSpec, m: int, prec: int):
     """Yield (lo, hi, den) with lo/den <= gap_product(spec, m, n) <= hi/den for
     n = m, m + 1, ...
 
-    Factors of ``spec.split_stream(m)`` multiply exactly, with unreduced
-    integer numerator and denominator and no gcd, while the denominator fits
-    in ``prec`` bits (lo == hi, den that denominator).  From then on, reading
+    The items of `_exact_walk` on ``spec.split_stream(m)``, unreduced and
+    with no gcd, come first while the denominator fits in ``prec`` bits
+    (lo == hi, den that denominator).  From then on, reading
     on in the same stream, both ends are integer mantissas of about ``prec``
     bits over den = 2**scale, lo floored and hi ceiled at every factor.  A
     factor (x*P + y)/(A*P) takes a mantissa V to floor((V*x + floor(V*y / P))
@@ -205,11 +232,10 @@ def _gap_walk(spec: ActionSpec, m: int, prec: int):
     factor 1 -+ 4*N / 2**prec of the product.
     """
     stream = spec.split_stream(m)
-    num = den = 1
-    while den.bit_length() <= prec:
+    for num, den in _exact_walk(stream):
+        if den.bit_length() > prec:
+            break
         yield num, num, den
-        x, y, A, P = next(stream)
-        num, den = num * (x * P + y), den * (A * P)
     lo, hi = 1, -1  # hi is kept negated: floor(-x / d) = -ceil(x / d) rounds it up
     scale = 0  # the mantissas stand for lo / 2**scale and -hi / 2**scale
     for x, y, A, P in chain([(num, 0, den, 1)], stream):

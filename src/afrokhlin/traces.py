@@ -21,7 +21,7 @@ from fractions import Fraction
 from .actions import ActionSpec
 from .classify import UNKNOWN, UndecidedError, extreme_trace_count
 from .intervals import RatInterval
-from .products import DEFAULT_CUTOFF, TailZero, gap_product_tail
+from .products import DEFAULT_CUTOFF, gap_product_tail
 
 
 class UniqueTraceError(ValueError):
@@ -79,10 +79,9 @@ def extreme_trace_vector(
             f"trace count undecided at cutoff {cutoff} for action {spec.name!r}"
         )
     # the tail settles by the cutoff, so the tail product is decided
-    result = gap_product_tail(spec, n, cutoff)
-    lo, hi = (0, 0) if isinstance(result, TailZero) else (result.lower, result.upper)
-    r = RatInterval(Fraction(1 + lo) / 2, Fraction(1 + hi) / 2)
-    s = RatInterval(Fraction(1 - hi) / 2, Fraction(1 - lo) / 2)
+    tail = gap_product_tail(spec, n, cutoff)
+    r = RatInterval((1 + tail.lo) / 2, (1 + tail.hi) / 2)
+    s = RatInterval((1 - tail.hi) / 2, (1 - tail.lo) / 2)
     if extreme == 1:
         return TraceVector(n, r, s)
     return TraceVector(n, s, r)

@@ -15,15 +15,14 @@ the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
 axioms, and greedy towers by scanning every row for a fixed point and
 recomputing the saturation of the base at every step.  The Smith diagonal
-is checked against the same pivot loop written with one closure per row and
-column operation.
+is checked against sympy's invariant factors instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from afrokhlin import (
     ActionSpec,
@@ -265,8 +264,13 @@ def reference_enclose_gap_product(spec: ActionSpec, m: int, n: int, prec: int, s
 
 def reference_cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
     """Yield (n, |v| * diff <= u * size) for n = s, s + 1, ... from the exact
-    unreduced stage products of ``spec.partial_products(s)``."""
-    return ((n, absv * diff <= u * size) for n, diff, size in spec.partial_products(s))
+    unreduced stage products, multiplied one ``spec.factor(n)`` at a time."""
+    diff = size = 1
+    for n in count(s):
+        if n > s:
+            f = spec.factor(n)
+            diff, size = diff * (f.p - f.q), size * f.size
+        yield n, absv * diff <= u * size
 
 
 def reference_tracial_witness(spec: ActionSpec, cutoff: int) -> dict:
@@ -286,7 +290,7 @@ def reference_tracial_witness(spec: ActionSpec, cutoff: int) -> dict:
         else:
             witness["divergence"] = result.divergence
         return {**witness, **spec.tail.gap_limit()}
-    if isinstance(result, RatInterval):
+    if type(result) is RatInterval:
         return {"kind": "cutoff_exhausted", "cutoff": cutoff, "m": m, "partial_upper": round_up(result.hi)}
     return {
         "kind": "positive_tail_product",
@@ -437,66 +441,3 @@ def scanned_tail_facts(tail, depth: int = 40) -> dict:
         "late_ranks": set(ranks),
         "primes": set().union(*(_small_primes(p.size) for p in late)),
     }
-
-
-def reference_smith_diagonal(mat) -> list[int]:
-    """The Smith diagonal by named row and column operations, one closure
-    each, with the pivot rule and operation sequence of
-    `ktheory._smith_diagonal`, so both return the same diagonal."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    A = [[int(x) for x in r] for r in mat]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-
-    def row_add(i, j, c):
-        # A[i] += c * A[j]
-        A[i] = [x + c * y for x, y in zip(A[i], A[j])]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-
-    def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-
-    def col_add(j, i, c):
-        # column j += c * column i
-        for r in A:
-            r[j] += c * r[i]
-
-    def min_pos(t):
-        # the first entry of least nonzero size, in row-major order
-        cells = [(abs(A[i][j]), i, j) for i in range(t, rows) for j in range(t, cols)]
-        return min((c for c in cells if c[0]), default=None)
-
-    for t in range(min(rows, cols)):
-        # a zero block leaves the loop at once, with A[t][t] = 0
-        while (pivot := min_pos(t)) is not None:
-            _, i0, j0 = pivot
-            if i0 != t:
-                row_swap(t, i0)
-            if j0 != t:
-                col_swap(t, j0)
-            dirty = False
-            for i in range(t + 1, rows):
-                if A[i][t] != 0:
-                    row_add(i, t, -(A[i][t] // A[t][t]))
-                    dirty = dirty or A[i][t] != 0
-            for j in range(t + 1, cols):
-                if A[t][j] != 0:
-                    col_add(j, t, -(A[t][j] // A[t][t]))
-                    dirty = dirty or A[t][j] != 0
-            if dirty:
-                continue
-            offender = next(
-                (i for i in range(t + 1, rows) if any(x % A[t][t] for x in A[i][t + 1:])),
-                None,
-            )
-            if offender is None:
-                break
-            row_add(t, offender, 1)
-        if A[t][t] < 0:
-            row_neg(t)
-    return [A[t][t] for t in range(min(rows, cols))]

@@ -22,6 +22,7 @@ from afrokhlin import (
     supernatural_of_algebra,
 )
 from afrokhlin.actions import _factorize, _is_prime
+from afrokhlin.products import _exact_walk, range_product
 from oracles import scanned_tail_facts
 from specgen import random_factor_list, random_spec
 
@@ -300,20 +301,33 @@ def test_factorize_matches_trial_division():
         assert got == want and list(got) == sorted(got), (p, q, small)
 
 
-def test_partial_products_walk_is_lazy_and_unreduced():
+def test_exact_walk_is_lazy_and_unreduced():
     spec = ActionSpec("fin", (RankPair(3, 1), RankPair(2, 2), RankPair(5, 0)), None)
-    walk = spec.partial_products(0)
-    assert [next(walk) for _ in range(4)] == [(0, 1, 1), (1, 2, 4), (2, 0, 16), (3, 0, 80)]
+    drawn = []
+
+    def stream():
+        for item in spec.split_stream(0):
+            drawn.append(item)
+            yield item
+
+    walk = _exact_walk(stream())
+    for k, want in enumerate([(1, 1), (2, 4), (0, 16), (0, 80)]):
+        # item k multiplies k factors, and no factor is drawn before it is needed
+        assert (next(walk), len(drawn)) == (want, k)
     with pytest.raises(FactorRangeError):
         next(walk)
-    assert spec.range_product(1, 3) == (0, 20)
-    assert spec.range_product(2, 2) == (1, 1)
-    assert spec.range_product(0, 3) == (0, 80)
-    for m, n in ((-1, 2), (2, 1)):
-        with pytest.raises(ValueError):
-            spec.range_product(m, n)
+    assert range_product(spec, 1, 3) == (0, 20)
+    assert range_product(spec, 2, 2) == (1, 1)
+    assert range_product(spec, 0, 3) == (0, 80)
+    for m, n, message in (
+        (-1, 2, "range start must be >= 0, got -1"),
+        (2, 1, "range end 1 precedes start 2"),
+    ):
+        with pytest.raises(ValueError) as info:
+            range_product(spec, m, n)
+        assert str(info.value) == message
     with pytest.raises(FactorRangeError):
-        spec.range_product(2, 4)
+        range_product(spec, 2, 4)
 
 
 def test_factor_stream_matches_factor():

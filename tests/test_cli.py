@@ -313,16 +313,16 @@ def test_quiet_suppresses_text():
 
 @pytest.fixture
 def stream_items(monkeypatch):
-    """The factors drawn from ActionSpec.factor_stream while the test runs."""
+    """The factors drawn from ActionSpec.split_stream while the test runs."""
     drawn = []
-    real = ActionSpec.factor_stream
+    real = ActionSpec.split_stream
 
     def counted(self, m):
         for item in real(self, m):
             drawn.append(item)
             yield item
 
-    monkeypatch.setattr(ActionSpec, "factor_stream", counted)
+    monkeypatch.setattr(ActionSpec, "split_stream", counted)
     return drawn
 
 

@@ -92,6 +92,18 @@ ROWS = {
         lambda: TailPositive(2, 1),
         ValueError("invalid positive enclosure [2, 1]"),
     ),
+    "tail positive of floats": (
+        lambda: TailPositive(0.25, 0.5),
+        ValueError("interval ends must be integers or Fractions"),
+    ),
+    "tail positive of bools": (
+        lambda: TailPositive(True, True),
+        ValueError("interval ends must be integers or Fractions"),
+    ),
+    "tail zero with a nonzero end": (
+        lambda: TailZero(Fraction(0), Fraction(1, 2), zero_index=3),
+        ValueError("a zero tail is the enclosure [0, 0], got [0, 1/2]"),
+    ),
     "first zero gap of a finite spec": (lambda: first_zero_gap_after(FINITE, 0), None),
     "tail from a negative stage": (
         lambda: gap_product_tail(CAR3, -1),

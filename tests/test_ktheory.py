@@ -32,12 +32,12 @@ from afrokhlin import (
 )
 from afrokhlin import ktheory
 from afrokhlin.ktheory import _cone_scan, _smith_diagonal, _subgroup_invariant_factors, mat_mul
+from afrokhlin.products import range_product
 from oracles import (
     ORACLE_TAILS,
     TransitionMatrix,
     cone_oracle,
     reference_cone_scan,
-    reference_smith_diagonal,
     transition,
     truncated_spec,
 )
@@ -263,10 +263,9 @@ def test_snf_randomized(rows, cols, data):
     st.data(),
 )
 def test_snf_matches_reference(rows, cols, data):
-    """The pivot loop against the closure-based reference and against
-    sympy's invariant factors, an implementation written separately, on
-    matrices up to 8 x 8 with large entries and with whole zero rows and
-    columns."""
+    """The pivot loop against sympy's invariant factors, an implementation
+    written separately, on the whole diagonal of matrices up to 8 x 8 with
+    large entries and with whole zero rows and columns."""
     bound = data.draw(st.sampled_from([9, 10**6]))
     entry = st.integers(min_value=-bound, max_value=bound)
     mat = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
@@ -276,7 +275,6 @@ def test_snf_matches_reference(rows, cols, data):
         for row in mat:
             row[j] = 0
     diagonal = _smith_diagonal(mat)
-    assert diagonal == reference_smith_diagonal(mat), mat
     assert tuple(diagonal) == invariant_factors(Matrix(mat), domain=ZZ), mat
 
 
@@ -655,7 +653,7 @@ def _near_threshold(rng, spec, s, stop):
     stop, for |v| of 8 to 200 bits, or small random integers; None when u <= 0."""
     if rng.random() < 0.3:
         return rng.randint(1, 2**40), rng.randint(1, 2**40)
-    diff, size = spec.range_product(s, rng.randint(s, stop))
+    diff, size = range_product(spec, s, rng.randint(s, stop))
     absv = rng.getrandbits(rng.choice([8, 60, 200])) | 1
     u = diff * absv // size + rng.randint(-3, 3)
     return (u, absv) if u > 0 else None
@@ -697,8 +695,8 @@ def test_is_positive_boundary_stage_pays_one_exact_product(monkeypatch):
     spec = ActionSpec("sixths", (), PeriodicTail((RankPair(3, 1), RankPair(2, 1))))
     el = K0Element(0, 1 + 6**80, 1 - 6**80)  # u = 2, |v| = 2 * 6^80
     calls = []
-    real = ActionSpec.range_product
-    monkeypatch.setattr(ActionSpec, "range_product", lambda *a: calls.append(a[1:]) or real(*a))
+    real = ktheory.range_product
+    monkeypatch.setattr(ktheory, "range_product", lambda *a: calls.append(a[1:]) or real(*a))
     verdict = is_positive(spec, el)
     assert verdict.witness == {"kind": "in_cone_at_stage", "stage": 160}
     assert calls == [(0, 160)]
