@@ -34,7 +34,6 @@ from .intervals import RatInterval
 from .ktheory import (
     FgAbPresentation,
     K0Element,
-    fgab_colimit,
     flip,
     is_equal,
     is_positive,

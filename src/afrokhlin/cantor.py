@@ -200,7 +200,8 @@ def _index_rows(rows, bound: int) -> list | None:
         # deleting every byte in range leaves the entries outside it
         return None if b"".join(rows).translate(None, bytes(range(bound))) else rows
     rows = list(map(tuple, rows))
-    return rows if min(map(min, rows)) >= 0 and max(map(max, rows)) < bound else None
+    entries = set(chain.from_iterable(rows))
+    return rows if min(entries) >= 0 and max(entries) < bound else None
 
 
 def _outer_rows(rows: list) -> list:

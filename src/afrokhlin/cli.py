@@ -50,12 +50,12 @@ from .fixtures import FIXTURE_NAMES, fixture
 from .ktheory import (
     FgAbPresentation,
     K0Element,
-    fgab_colimit,
     flip,
     is_equal,
     is_positive,
     is_totally_ordered,
     is_zero,
+    torsion_family_k0,
 )
 from .products import DEFAULT_CUTOFF, condense
 from .report import (
@@ -259,7 +259,7 @@ def cmd_torsion(args, spec: ActionSpec | None) -> Result:
     if args.notor:
         # K1 stage maps are isomorphisms of Z; K0 stages are copies of Z^2,
         # so the colimit is torsion-free whatever the stage maps are.
-        k1 = fgab_colimit(FgAbPresentation(1), [[[1]] for _ in rs])
+        k1 = FgAbPresentation(1)
         doc["torsion_family"] = {
             "variant": "torsion_free",
             "m": args.m,
@@ -277,9 +277,7 @@ def cmd_torsion(args, spec: ActionSpec | None) -> Result:
             f"K1 = {k1}, K0 torsion-free (colimit of Z^2 stages)"
         )
     else:
-        initial = FgAbPresentation(1, (2**args.m,))
-        maps = [[[2 * r + 1, 0], [0, 1]] for r in rs]
-        k0 = fgab_colimit(initial, maps)
+        k0 = torsion_family_k0(args.m, rs)
         doc["torsion_family"] = {
             "variant": "torsion",
             "m": args.m,

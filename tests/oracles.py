@@ -13,27 +13,33 @@ the positivity scan by the exact stage products it rounds, the tracial
 witness by the cutoff enclosure its shallow shortcut skips,
 the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
-axioms, and greedy towers by scanning every row for a fixed point and
-recomputing the saturation of the base at every step.  The Smith diagonal
-is checked against sympy's invariant factors instead.
+axioms, greedy towers by scanning every row for a fixed point and
+recomputing the saturation of the base at every step, and the closed form
+of the torsion family by the general presentation colimit engine it
+replaced.  That engine's Smith diagonal is checked against sympy's
+invariant factors instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 
 from afrokhlin import (
     ActionSpec,
+    FgAbPresentation,
     FiniteActionError,
     K0Element,
     PeriodicTail,
     RankPair,
     RatInterval,
+    SupernaturalNumber,
     TailPositive,
     TailZero,
 )
+from afrokhlin.actions import _factorize
 from afrokhlin.cantor import (
     FiniteGSet,
     InvalidCover,
@@ -441,3 +447,169 @@ def scanned_tail_facts(tail, depth: int = 40) -> dict:
         "late_ranks": set(ranks),
         "primes": set().union(*(_small_primes(p.size) for p in late)),
     }
+
+
+# ----------------------------------------------------------------------------
+# The presentation colimit engine that `torsion` once ran: colimits of a fixed
+# finitely generated abelian presentation under a cycle of block-diagonal
+# self-maps, with the torsion part the stable image of the torsion block, read
+# off one Smith diagonal.  It is the reference for `torsion_family_k0`, and
+# sympy's invariant factors are the reference for its Smith diagonal.
+
+Matrix = list[list[int]]
+
+
+def mat_mul(a, b) -> Matrix:
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def _smith_diagonal(mat) -> list[int]:
+    """The diagonal of the Smith normal form of an integer matrix.
+
+    Unimodular row and column operations bring the matrix to a diagonal of
+    nonnegative invariant factors dividing in sequence; the diagonal is read
+    off at the end.  Step t takes as pivot the entry of least nonzero size in
+    the block from (t, t) on, the first in row-major order among ties, swaps
+    it to (t, t) and reduces the rows below and the columns right of it by
+    floor division.  A remainder left in row or column t picks a new, smaller
+    pivot.  Once both are clear, the first lower row with an entry the pivot
+    does not divide is added to row t, and the step picks again.
+    """
+    A = [list(row) for row in mat]
+    rows, cols = len(A), len(A[0]) if A else 0
+    for t in range(min(rows, cols)):
+        # a zero block leaves the loop at once, with A[t][t] = 0
+        while cells := [
+            (abs(x), i, j) for i in range(t, rows) for j, x in enumerate(A[i][t:], t) if x
+        ]:
+            _, i0, j0 = min(cells)
+            A[t], A[i0] = A[i0], A[t]
+            for row in A:
+                row[t], row[j0] = row[j0], row[t]
+            pivot = A[t][t]
+            for i in range(t + 1, rows):
+                if q := A[i][t] // pivot:
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+            for j in range(t + 1, cols):
+                if q := A[t][j] // pivot:
+                    for row in A:
+                        row[j] -= q * row[t]
+            if any(A[i][t] for i in range(t + 1, rows)) or any(A[t][t + 1:]):
+                continue
+            offender = next(
+                (i for i in range(t + 1, rows) if any(x % pivot for x in A[i][t + 1:])),
+                None,
+            )
+            if offender is None:
+                break
+            A[t] = [x + y for x, y in zip(A[t], A[offender])]
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+    return [A[t][t] for t in range(min(rows, cols))]
+
+
+def _check_colimit_map(mat, free: int, orders: tuple[int, ...]) -> Matrix:
+    # a list or tuple of rows of ints; the first unsupported entry in
+    # row-major order is named
+    size = free + len(orders)
+    if not (
+        isinstance(mat, (list, tuple))
+        and all(isinstance(row, (list, tuple)) for row in mat)
+        and all(isinstance(x, int) and not isinstance(x, bool) for row in mat for x in row)
+        and len(mat) == size
+        and all(len(row) == size for row in mat)
+    ):
+        raise ValueError(f"colimit maps must be {size}x{size} integer matrices")
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if i >= free and j >= free:
+                di, dj = orders[i - free], orders[j - free]
+                if dj * x % di:
+                    raise ValueError(
+                        f"map is ill-defined on torsion: order {dj} generator "
+                        f"maps with coefficient {x} into Z/{di}"
+                    )
+            elif x and j >= free:
+                raise ValueError(
+                    "map does not respect torsion: torsion generator "
+                    f"{j - free} hits free generator {i}"
+                )
+            elif x and i != j:
+                rule = "free block must be diagonal"
+                if i >= free:
+                    rule = "free generators may not feed torsion"
+                raise ValueError(f"unsupported map: {rule} (nonzero entry at ({i}, {j}))")
+    return mat
+
+
+def _reduce_mod_orders(M: Matrix, orders: tuple[int, ...]) -> Matrix:
+    return [[M[i][j] % orders[i] for j in range(len(orders))] for i in range(len(orders))]
+
+
+def _subgroup_invariant_factors(gens: Matrix, orders: tuple[int, ...]) -> tuple[int, ...]:
+    """Isomorphism type of the subgroup of +Z/orders generated by the columns.
+
+    With L = lcm(orders), x -> ((L/d_i) * x_i) embeds +Z/d_i into (Z/L)^t:
+    (L/d_i) * x_i = 0 mod L exactly when d_i divides x_i.  So the subgroup is
+    the column span of M = diag(L/d_i) gens mod L.  Write M = U S V in Smith
+    form; U and V are unimodular, so they stay invertible mod L, and the span
+    is +s_i Z/L = +Z/(L/gcd(s_i, L)).  The s_i divide in sequence, so these
+    orders, read in reverse, do too.
+    """
+    L = math.lcm(*orders)
+    diagonal = _smith_diagonal([[L // d * x for x in row] for d, row in zip(orders, gens)])
+    return tuple(f for f in (L // math.gcd(s, L) for s in reversed(diagonal)) if f >= 2)
+
+
+def _stable_image_factors(tb: Matrix, orders: tuple[int, ...]) -> tuple[int, ...]:
+    """Invariant factors of the eventual image of a torsion self-map T.
+
+    The images of T^k form a decreasing chain of finite subgroups, and each
+    strict step at least halves the order, so the image of T^k is stable once
+    k >= log2(order).  T is squared until its exponent 2^s passes that bound
+    (2^s > bit_length(order)), and the subgroup of that power is computed
+    once.  The colimit of the torsion part is the stable image (the map
+    restricts to an automorphism of it).  T comes in reduced mod the orders.
+    """
+    power = tb
+    for _ in range(math.prod(orders).bit_length().bit_length()):
+        power = _reduce_mod_orders(mat_mul(power, power), orders)
+    return _subgroup_invariant_factors(power, orders)
+
+
+def fgab_colimit(
+    initial: FgAbPresentation,
+    cycle,
+) -> FgAbPresentation:
+    """Colimit of a constant presentation along repeated cycle maps.
+
+    Generators are ordered free-first; each map is a square integer matrix
+    whose column j gives the image of generator j.  The free part of the
+    colimit localizes each surviving generator at the primes of its cycle
+    scaling product; the torsion part is the stabilized image of the cycle's
+    torsion block.  Maps outside the supported shape raise ValueError.
+    """
+    cycle = tuple(cycle)
+    if not cycle:
+        raise ValueError("need a nonempty cycle of maps")
+    if any(loc.exponents for loc in initial.localizations):
+        raise ValueError("initial presentation must have trivial localizations")
+    free, orders = initial.free_rank, initial.torsion
+    cyc = [_check_colimit_map(M, free, orders) for M in cycle]
+
+    scalings = (math.prod(M[i][i] for M in cyc) for i in range(free))
+    locs = tuple(
+        SupernaturalNumber(tuple((p, math.inf) for p in _factorize(abs(scaling))))
+        for scaling in scalings
+        if scaling
+    )
+    blocks = ([row[free:] for row in M[free:]] for M in cyc)
+    composite = _reduce_mod_orders(next(blocks), orders)
+    for block in blocks:
+        # maps apply left to right, so the composite is block @ previous
+        composite = _reduce_mod_orders(mat_mul(block, composite), orders)
+    return FgAbPresentation(len(locs), _stable_image_factors(composite, orders), locs)

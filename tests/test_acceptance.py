@@ -18,7 +18,6 @@ from afrokhlin import (
     classification_report,
     condense,
     extreme_trace_vector,
-    fgab_colimit,
     fixture,
     flip,
     gap_product,
@@ -29,12 +28,14 @@ from afrokhlin import (
     push_forward,
 )
 from afrokhlin.cantor import default_cover, greedy_tower, is_free, verify_tower
+from afrokhlin.ktheory import torsion_family_k0
 from gsets import GROUP_V4, GROUP_Z2, GROUP_Z3, build_gset, orbit_multisets
 from oracles import (
     ORACLE_TAILS,
     MixingMatrix,
     cone_oracle,
     dyadic_euler_interval,
+    fgab_colimit,
     sign_tensor_counts,
     tower_base_exists,
     truncated_spec,
@@ -108,8 +109,8 @@ def test_acceptance_3_torsion_fixtures():
     for m in (1, 2, 3, 4):
         initial = FgAbPresentation(1, (2**m,))
         maps = [[[2 * r + 1, 0], [0, 1]] for r in (1, 2, 3)]
-        out = fgab_colimit(initial, maps)
-        assert out.torsion == (2**m,)
+        for out in (torsion_family_k0(m, (1, 2, 3)), fgab_colimit(initial, maps)):
+            assert out.torsion == (2**m,)
     result = run_cli("torsion", "--m", "4", "--r", "1,2", "--json")
     doc = json.loads(result.stdout)["torsion_family"]
     assert doc["k0_torsion_subgroup"] == "Z/16"

@@ -231,6 +231,15 @@ def test_classify_deep_cutoff_finishes():
     assert (witness["lower"], witness["upper"]) == ("0.288788095086", "0.288788095087")
 
 
+def test_torsion_large_r_finishes():
+    # each 2r + 1 is a prime near 2 * 10**12, and their product, about
+    # 8 * 10**36, is too large for exact Miller-Rabin, so only factoring
+    # each 2r + 1 on its own finishes
+    r = run_cli("torsion", "--m", "2", "--r", "1000000000001,1000000000061,1000000000068", timeout=10)
+    assert r.returncode == 0, r.stderr
+    assert "K0 = Z[1/2000000000003*2000000000123*2000000000137] (+) Z/4" in r.stdout
+
+
 def test_closed_stdout_exits_141_quietly():
     # the read end is closed before the command starts, so every write fails
     read_end, write_end = os.pipe()

@@ -24,7 +24,6 @@ from afrokhlin import (
     TraceVector,
     Verdict,
     extreme_trace_vector,
-    fgab_colimit,
     fixture,
     gap_product_tail,
 )
@@ -33,6 +32,7 @@ from afrokhlin.citations import cite
 from afrokhlin.intervals import round_down_above
 from afrokhlin.products import first_zero_gap_after
 from afrokhlin.report import decimal_str, weight_json
+from oracles import fgab_colimit
 
 FINITE = ActionSpec("finite", (RankPair(2, 1),), None)
 CAR3 = fixture("car3")

@@ -20,7 +20,6 @@ from afrokhlin import (
     PeriodicTail,
     RankPair,
     SupernaturalNumber,
-    fgab_colimit,
     fixture,
     flip,
     gap_product_tail,
@@ -31,12 +30,17 @@ from afrokhlin import (
     push_forward,
 )
 from afrokhlin import ktheory
-from afrokhlin.ktheory import _cone_scan, _smith_diagonal, _subgroup_invariant_factors, mat_mul
+from afrokhlin.ktheory import _cone_scan, torsion_family_k0
 from afrokhlin.products import range_product
+from afrokhlin.report import presentation_json
 from oracles import (
     ORACLE_TAILS,
     TransitionMatrix,
+    _smith_diagonal,
+    _subgroup_invariant_factors,
     cone_oracle,
+    fgab_colimit,
+    mat_mul,
     reference_cone_scan,
     transition,
     truncated_spec,
@@ -322,6 +326,25 @@ def test_colimit_torsion_long_image_chain():
     assert fgab_colimit(FgAbPresentation(0, (1024,)), [[[2]]]).torsion == ()
     out = fgab_colimit(FgAbPresentation(0, (2, 1024)), [[[1, 0], [0, 2]]])
     assert out.torsion == (2,)
+
+
+def test_torsion_family_k0_matches_colimit_engine():
+    """The closed form against the colimit engine it replaced, in value, text
+    and JSON, for both variants: K0 of the torsion family, and K1 of the
+    torsion-free one, which the command takes to be Z outright."""
+    rng = random.Random(4391)
+    for _ in range(3000):
+        m = rng.randint(1, 12)
+        rs = [rng.randint(1, 10**6) for _ in range(rng.randint(1, 6))]
+        maps = [[[2 * r + 1, 0], [0, 1]] for r in rs]
+        pairs = [
+            (torsion_family_k0(m, rs), fgab_colimit(FgAbPresentation(1, (2**m,)), maps)),
+            (FgAbPresentation(1), fgab_colimit(FgAbPresentation(1), [[[1]] for _ in rs])),
+        ]
+        for got, want in pairs:
+            assert got == want, (m, rs)
+            assert str(got) == str(want), (m, rs)
+            assert presentation_json(got) == presentation_json(want), (m, rs)
 
 
 def order_multiset(orders, elements):
