@@ -11,13 +11,12 @@ product's simplicity, supernatural number and extreme trace count from them;
 `extreme_trace_count` alone reads the count from the tail rule, no enclosure.
 
 The tracial no witness is the cutoff enclosure of the tail product rounded
-to 12 digits, read from the shallowest enclosure that fixes those bytes
-(`_shallow_witness`) and from the cutoff one only when none does.
+to 12 digits, read through `products.fixed_tail`: from a shallower enclosure
+that fixes those bytes, and from the cutoff one only when none does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -29,12 +28,7 @@ from .actions import (
 )
 from .citations import cite
 from .intervals import round_down, round_up
-from .products import (
-    _GUARD_BITS,
-    DEFAULT_CUTOFF,
-    first_zero_gap_after,
-    gap_product_tail,
-)
+from .products import DEFAULT_CUTOFF, first_zero_gap_after, fixed_tail
 
 YES = "yes"
 NO = "no"
@@ -106,13 +100,6 @@ def strict_rokhlin_verdict(spec: ActionSpec) -> Verdict:
     )
 
 
-# round_down and round_up step by at least 10^-12 > 2^-40 of any value in (0, 1]
-# (round_down refines its grid below 10^-12 only as far as the value itself), so
-# below this remainder bound the brackets of `_shallow_witness`, about 3r wide
-# relative to the tail product, are _GUARD_BITS bits narrower than a grid step.
-_SHALLOW_REMAINDER = Fraction(1, 1 << (40 + _GUARD_BITS))
-
-
 def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> Verdict:
     """Yes iff every tail gap product vanishes.
 
@@ -124,99 +111,40 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
     require_infinite(spec)
     anchors = cite("tracial-rokhlin-criterion")
     if spec.tail.divergence() is not None:
-        m, ends = len(spec.prefix), None
+        m = len(spec.prefix)
     else:
         m = max(_zero_gap_indices(spec), default=0)
-        ends = _shallow_witness(spec, m, cutoff)
-    if ends is None:
-        result = gap_product_tail(spec, m, cutoff)
-        if result.hi == 0:
-            witness: dict = {"kind": "vanishing_tail_products"}
-            if result.zero_index is not None:
-                witness["recurring_zero_gap_index"] = result.zero_index
-            else:
-                witness["divergence"] = result.divergence
-            witness.update(spec.tail.gap_limit())
-            return Verdict(YES, witness, anchors)
-        if result.lo == 0:
-            return Verdict(
-                UNKNOWN,
-                {
-                    "kind": "cutoff_exhausted",
-                    "cutoff": cutoff,
-                    "m": m,
-                    "partial_upper": round_up(result.hi),
-                },
-                anchors,
-            )
-        # witness endpoints are rounded outward, so they still bracket the limit
-        ends = round_down(result.lo), round_up(result.hi)
+    result = fixed_tail(spec, m, cutoff, _witness_ends)
+    if result.hi == 0:
+        witness: dict = {"kind": "vanishing_tail_products"}
+        if result.zero_index is not None:
+            witness["recurring_zero_gap_index"] = result.zero_index
+        else:
+            witness["divergence"] = result.divergence
+        witness.update(spec.tail.gap_limit())
+        return Verdict(YES, witness, anchors)
+    if result.lo == 0:
+        return Verdict(
+            UNKNOWN,
+            {
+                "kind": "cutoff_exhausted",
+                "cutoff": cutoff,
+                "m": m,
+                "partial_upper": round_up(result.hi),
+            },
+            anchors,
+        )
+    lower, upper = _witness_ends(result.lo, result.hi)
     return Verdict(
         NO,
-        {"kind": "positive_tail_product", "m": m, "lower": ends[0], "upper": ends[1]},
+        {"kind": "positive_tail_product", "m": m, "lower": lower, "upper": upper},
         anchors,
     )
 
 
-def _shallow_witness(
-    spec: ActionSpec, m: int, cutoff: int
-) -> tuple[Fraction, Fraction] | None:
-    """(round_down(lower_c), round_up(upper_c)) of the cutoff-c enclosure
-    `gap_product_tail(spec, m, c)` of a positive tail, read from a shallower
-    one, or None: for an exact tail, when the shallow depth is not below c,
-    or when the bytes are not fixed.
-
-    The shallow cutoff d is the least d >= settle depth at which the
-    remainder bound r_d of `gap_product_tail(spec, m, d)` is below
-    _SHALLOW_REMAINDER.  Its enclosure [l, u] brackets the cutoff-c ends:
-
-        lower_c in [l * (1 - 2 r_d), u],  upper_c in [l, min(u * (1 + 2 r_d), 1)].
-
-    The inner ends hold as lower_c <= L <= u and upper_c >= L >= l for the
-    limit L.  For the outer ones, r_c <= r_d, and the partial product P_c
-    satisfies P_c * (1 - r_c) <= L <= P_c.  `_gap_walk` keeps P_c within a
-    factor 1 -+ delta, delta = 4N / 2**prec <= r_c**2 / 2**62 at the
-    precision of `gap_product_tail`, and `_floor_bits` loses less than
-    2**(1 - prec) more, so lower_c >= l * (1 - r_c) * (1 - 2 delta) >= l * (1
-    - 2 r_d), and upper_c <= P_c * (1 + delta) <= u * (1 + delta) / (1 - r_d)
-    <= u * (1 + 2 r_d).  An exact enclosure has delta = 0.
-    """
-    tail = spec.tail
-    settle = tail.settle_depth()
-    base = max(settle, m - len(spec.prefix))
-    r = tail.remainder_bound(base)
-    if not r:
-        return None
-    # the bound shrinks by the factor B = r / r(base + 1) per depth, so it is below
-    # _SHALLOW_REMAINDER from d = floor(log_B(r / _SHALLOW_REMAINDER)) + 1 on; a float
-    # logarithm can miss that least d by one, which a comparison each way mends
-    B = r / tail.remainder_bound(base + 1)
-    d = max(0, math.floor(_log(r / _SHALLOW_REMAINDER) / _log(B)) + 1)
-    d += tail.remainder_bound(base + d) >= _SHALLOW_REMAINDER
-    d -= d > 0 and tail.remainder_bound(base + d - 1) < _SHALLOW_REMAINDER
-    d = max(d, settle)
-    if d >= cutoff:
-        return None
-    enc = gap_product_tail(spec, m, d)
-    slack = 2 * tail.remainder_bound(base + d)
-    lo, hi = enc.lo, enc.hi
-    return _fixed_witness((lo * (1 - slack), hi), (lo, min(hi * (1 + slack), 1)))
-
-
-def _log(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-def _fixed_witness(
-    lower: tuple[Fraction, Fraction], upper: tuple[Fraction, Fraction]
-) -> tuple[Fraction, Fraction] | None:
-    """(round_down(x), round_up(y)) shared by every x in the bracket ``lower``
-    and every y in ``upper``, or None when either bracket straddles a grid
-    point; round_down and round_up are monotone, so comparing ends suffices."""
-    down, up = round_down(lower[0]), round_up(upper[1])
-    if down == round_down(lower[1]) and up == round_up(upper[0]):
-        return down, up
-    return None
+def _witness_ends(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    # witness endpoints are rounded outward, so they still bracket the limit
+    return round_down(lo), round_up(hi)
 
 
 def outer_verdict(spec: ActionSpec) -> Verdict:

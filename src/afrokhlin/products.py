@@ -14,7 +14,9 @@ smaller rank settles to zero) P is the exact limit and stays an exact
 fraction.  Otherwise P * (1 - r) lies within about P * r**2 of the limit, so
 P is needed to about 2 * log2(1/r) bits and no more: it is enclosed by dyadic
 numbers rounded outward (lower end down, upper end up) at a working precision
-derived from r alone.
+derived from r alone.  A rendering that rounds the ends outward, as the
+tracial witness and the trace weights do, is read through `fixed_tail`, from
+a shallow enclosure whenever that renders as the cutoff one.
 
 Every product reads the factors after a range start from one stream,
 `ActionSpec.split_stream`, in split form: p - q = x*P + y and p + q = A*P,
@@ -184,6 +186,60 @@ def gap_product_tail(
         # too, instead of adding the bits of r to it
         lower = _floor_bits(lower, prec)
     return TailPositive(lower, min(hi, 1))
+
+
+def fixed_tail(spec: ActionSpec, m: int, cutoff: int, key) -> RatInterval:
+    """An enclosure E of the tail product from m with key(E.lo, E.hi) equal to
+    key at the ends of `gap_product_tail(spec, m, cutoff)`, read from a
+    shallower enclosure when one fixes it; each component of ``key`` reads one
+    end and is monotone in it, as a rendering rounded outward is.
+
+    A tail with a nonzero remainder bound is a positive affine tail with base
+    B.  Its shallow cutoff is d = max(settle depth, least d with B**d >
+    2**(40 + _GUARD_BITS)), used when d < c = cutoff.  Write r_k for the
+    remainder bound of the cutoff-k enclosure, at depth b + k from the base
+    depth b = max(settle depth, m - prefix length).  The cutoff-d enclosure
+    [l, u] brackets the cutoff-c ends:
+
+        lower_c in [l * (1 - 2 r_d), u],  upper_c in [l, min(u * (1 + 2 r_d), 1)].
+
+    The inner ends hold as lower_c <= L <= u and upper_c >= L >= l for the
+    limit L.  For the outer ones, r_c <= r_d, and the partial product P_c
+    satisfies P_c * (1 - r_c) <= L <= P_c.  `_gap_walk` keeps P_c within a
+    factor 1 -+ delta, delta = 4N / 2**prec <= r_c**2 / 2**62 at the
+    precision of `gap_product_tail`, and `_floor_bits` loses less than
+    2**(1 - prec) more, so lower_c >= l * (1 - r_c) * (1 - 2 delta) >= l * (1
+    - 2 r_d), and upper_c <= P_c * (1 + delta) <= u * (1 + delta) / (1 - r_d)
+    <= u * (1 + 2 r_d).  An exact enclosure has delta = 0.  When key takes
+    one value at the outer ends and at the inner ones, monotonicity fixes it
+    on both brackets, and the outer enclosure is returned; otherwise the
+    cutoff enclosure is.
+
+    The brackets are narrow against a 12-digit grid: round_down and round_up
+    step by at least 10^-12 > 2^-40 of any value in (0, 1].  The affine tail
+    has r_d = r_0 * B**-d, and r_0 <= 1 / (B - 1) <= 1 as A * B**b >= 2e, so
+    r_d < 2**-(40 + _GUARD_BITS): the brackets, about 3 r_d wide relative to
+    L, are about _GUARD_BITS bits narrower than a grid step.  The factor at
+    tail position b + 1 alone gives 1 - L >= r_0 * (B - 1) / B, so they are at
+    most 6 * B**-d wide relative to 1 - L as well, and ends read from
+    (1 - L) / 2 are fixed alike.
+    """
+    tail = spec.tail
+    if tail is not None and tail.divergence() is None and tail.remainder_bound(0):
+        settle = tail.settle_depth()
+        # B**d <= 2**k up to d = 64k / bits(B**64), as bits(B**64) > 64 log2(B)
+        k = 40 + _GUARD_BITS
+        d = 64 * k // (tail.B**64).bit_length()
+        while tail.B**d <= 1 << k:
+            d += 1
+        d = max(settle, d)
+        if d < cutoff:
+            enc = gap_product_tail(spec, m, d)
+            slack = 2 * tail.remainder_bound(max(settle, m - len(spec.prefix)) + d)
+            lo, hi = enc.lo * (1 - slack), min(enc.hi * (1 + slack), 1)
+            if lo and key(lo, hi) == key(enc.hi, enc.lo):
+                return TailPositive(lo, hi)
+    return gap_product_tail(spec, m, cutoff)
 
 
 def _floor_bits(x: Fraction, prec: int) -> Fraction:

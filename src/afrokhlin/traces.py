@@ -8,7 +8,9 @@ parameters, so the simplex is swept out by the matrix of the tail gap product
 L applied to an endpoint (r, 1 - r); its two extreme traces have weights
 ((1 + L)/2, (1 - L)/2) and the swap.  Every weight is a `RatInterval` inside
 [0, 1], exact when lo == hi: the two ends of the certified enclosure of L give
-the ends of the weight enclosures, so no interval arithmetic is needed.  When
+the ends of the weight enclosures, so no interval arithmetic is needed.  The
+enclosure is read through `products.fixed_tail`, so it may be wider than the
+cutoff one, with the same 12-digit rendering of every weight.  When
 every tail product vanishes the simplex is a point and only the flip-invariant
 trace (1/2, 1/2) exists; extreme-trace queries then refuse.
 """
@@ -20,8 +22,8 @@ from fractions import Fraction
 
 from .actions import ActionSpec
 from .classify import UNKNOWN, UndecidedError, extreme_trace_count
-from .intervals import RatInterval
-from .products import DEFAULT_CUTOFF, gap_product_tail
+from .intervals import RatInterval, round_down, round_up
+from .products import DEFAULT_CUTOFF, fixed_tail
 
 
 class UniqueTraceError(ValueError):
@@ -61,8 +63,9 @@ def extreme_trace_vector(
     """Stage weights of one of the two extreme traces.
 
     With L the certified tail gap product from stage n, extreme 1 has weights
-    ((1 + L)/2, (1 - L)/2) and extreme 0 the swap.  Requires a spec whose
-    trace simplex actually has two extreme points.
+    ((1 + L)/2, (1 - L)/2) and extreme 0 the swap.  The enclosure of L may be
+    a shallower one than the cutoff's when its weights render alike.
+    Requires a spec whose trace simplex actually has two extreme points.
     """
     if extreme not in (0, 1):
         raise ValueError("extreme must be 0 or 1")
@@ -79,9 +82,20 @@ def extreme_trace_vector(
             f"trace count undecided at cutoff {cutoff} for action {spec.name!r}"
         )
     # the tail settles by the cutoff, so the tail product is decided
-    tail = gap_product_tail(spec, n, cutoff)
+    tail = fixed_tail(spec, n, cutoff, _weight_ends)
     r = RatInterval((1 + tail.lo) / 2, (1 + tail.hi) / 2)
     s = RatInterval((1 - tail.hi) / 2, (1 - tail.lo) / 2)
     if extreme == 1:
         return TraceVector(n, r, s)
     return TraceVector(n, s, r)
+
+
+def _weight_ends(lo: Fraction, hi: Fraction) -> tuple[Fraction, ...]:
+    """The four weight ends of a tail enclosure [lo, hi] as `report.weight_json`
+    renders an inexact weight, each rounded outward from one end of it."""
+    return (
+        round_down((1 + lo) / 2),
+        round_up((1 + hi) / 2),
+        round_down((1 - hi) / 2),
+        round_up((1 - lo) / 2),
+    )

@@ -10,7 +10,8 @@ products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace
 and by the rounded loop over whole factors read one index at a time,
 the positivity scan by the exact stage products it rounds, the tracial
-witness by the cutoff enclosure its shallow shortcut skips,
+witness and the rendered extreme trace weights by the cutoff enclosure that
+the shallow shortcut of `products.fixed_tail` skips,
 the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
 axioms, greedy towers by scanning every row for a fixed point and
@@ -48,6 +49,8 @@ from afrokhlin.cantor import (
 )
 from afrokhlin.intervals import round_down, round_up
 from afrokhlin.products import first_zero_gap_after, gap_product_tail
+from afrokhlin.report import trace_vector_json
+from afrokhlin.traces import TraceVector
 
 
 def sign_tensor_counts(pairs) -> tuple[int, int]:
@@ -304,6 +307,18 @@ def reference_tracial_witness(spec: ActionSpec, cutoff: int) -> dict:
         "lower": round_down(result.lower),
         "upper": round_up(result.upper),
     }
+
+
+def reference_trace_vector(spec: ActionSpec, extreme: int, n: int, cutoff: int) -> dict:
+    """`trace_vector_json` of an extreme trace vector built from
+    `gap_product_tail` at the cutoff itself, for a spec with two extreme
+    traces: weights ((1 + L)/2, (1 - L)/2) from the ends of the enclosure of L,
+    swapped for extreme 0."""
+    tail = gap_product_tail(spec, n, cutoff)
+    plus = RatInterval((1 + tail.lo) / 2, (1 + tail.hi) / 2)
+    minus = RatInterval((1 - tail.hi) / 2, (1 - tail.lo) / 2)
+    weights = (plus, minus) if extreme == 1 else (minus, plus)
+    return trace_vector_json(TraceVector(n, *weights))
 
 
 def tower_base_exists(gs: FiniteGSet) -> bool:

@@ -12,6 +12,7 @@ from afrokhlin import (
     FiniteActionError,
     PeriodicTail,
     RankPair,
+    TailPositive,
     classification_report,
     condense,
     extreme_trace_count,
@@ -21,7 +22,7 @@ from afrokhlin import (
     strict_rokhlin_verdict,
     tracial_rokhlin_verdict,
 )
-from afrokhlin import classify, traces
+from afrokhlin import classify, products
 from afrokhlin.citations import CITATIONS
 from afrokhlin.traces import UniqueTraceError
 from oracles import reference_tracial_witness
@@ -179,11 +180,11 @@ def test_tracial_unknown_at_tiny_cutoff_then_decided():
 
 
 def _tail_cutoffs(monkeypatch) -> list[int]:
-    """Record the cutoff of every `gap_product_tail` call made by classify."""
+    """Record the cutoff of every `gap_product_tail` call made by `fixed_tail`."""
     cutoffs = []
-    real = classify.gap_product_tail
+    real = products.gap_product_tail
     monkeypatch.setattr(
-        classify, "gap_product_tail", lambda spec, m, c: cutoffs.append(c) or real(spec, m, c)
+        products, "gap_product_tail", lambda spec, m, c: cutoffs.append(c) or real(spec, m, c)
     )
     return cutoffs
 
@@ -200,25 +201,50 @@ def test_tracial_witness_matches_cutoff_reference(monkeypatch, cutoff):
         witness = tracial_rokhlin_verdict(spec, cutoff).witness
         assert witness == reference_tracial_witness(spec, cutoff)
         if cutoffs[0] < cutoff:
-            # the shallow cutoff d is the least one >= settle depth with r_d < 2^-104
+            # the shallow cutoff d is the least one >= settle depth with B^d > 2^104,
+            # so the remainder bound there is below 2^-104
             shallow += 1
             d, settle = cutoffs[0], spec.tail.settle_depth()
-            bound = spec.tail.remainder_bound
+            B, bound = spec.tail.B, spec.tail.remainder_bound
             base = max(settle, witness["m"] - len(spec.prefix))
-            assert bound(base + d) < Fraction(1, 2**104)
-            assert d == settle or bound(base + d - 1) >= Fraction(1, 2**104)
+            assert B**d > 2**104 and bound(base + d) < Fraction(1, 2**104)
+            assert d == settle or B ** (d - 1) <= 2**104
     assert shallow >= (30 if cutoff >= 200 else 0)
 
 
-def test_fixed_witness_falls_back_on_a_straddle():
+def _fake_shallow_tail(monkeypatch, d: int, lo: Fraction, hi: Fraction) -> list[int]:
+    """Make `gap_product_tail` at cutoff d return [lo, hi]; record every cutoff."""
+    real = products.gap_product_tail
+    monkeypatch.setattr(
+        products,
+        "gap_product_tail",
+        lambda spec, m, c: TailPositive(lo, hi) if c == d else real(spec, m, c),
+    )
+    return _tail_cutoffs(monkeypatch)
+
+
+def test_fixed_witness_falls_back_on_a_straddle(monkeypatch):
+    # car3 from m = 1 has the shallow cutoff 105; give it chosen enclosures [l, u]
+    car3, key = fixture("car3"), classify._witness_ends
+    full = products.gap_product_tail(car3, 1, 128)
     grid, eps = Fraction(288788095087, 10**12), Fraction(1, 10**20)
-    below, above = (grid - 2 * eps, grid - eps), (grid + eps, grid + 2 * eps)
-    low, high = grid - Fraction(1, 10**12), grid + Fraction(1, 10**12)
-    assert classify._fixed_witness(below, above) == (low, high)
-    assert classify._fixed_witness(below, below) == (low, grid)
-    straddle = (grid - eps, grid + eps)
-    assert classify._fixed_witness(straddle, above) is None
-    assert classify._fixed_witness(below, straddle) is None
+    step = Fraction(1, 10**12)
+    for (lo, hi), fixed in (
+        ((grid - 2 * eps, grid - eps), (grid - step, grid)),
+        ((grid + eps, grid + 2 * eps), (grid, grid + step)),
+        ((grid - eps, grid + eps), None),
+        # the 2 r_d slack alone reaches the grid point
+        ((grid, grid + eps), None),
+        ((grid - eps, grid), None),
+    ):
+        monkeypatch.undo()
+        cutoffs = _fake_shallow_tail(monkeypatch, 105, lo, hi)
+        got = products.fixed_tail(car3, 1, 128, key)
+        if fixed is None:
+            assert cutoffs == [105, 128] and got == full
+        else:
+            assert cutoffs == [105] and key(got.lo, got.hi) == fixed
+            assert got.lo < lo and hi < got.hi
 
 
 def test_tracial_witness_falls_back_to_the_cutoff_enclosure(monkeypatch):
@@ -226,15 +252,17 @@ def test_tracial_witness_falls_back_to_the_cutoff_enclosure(monkeypatch):
     want = reference_tracial_witness(car3, 128)
     cutoffs = _tail_cutoffs(monkeypatch)
     assert tracial_rokhlin_verdict(car3, 128).witness == want
-    # r_d = 2^-(1 + d) first drops below 2^-104 at d = 104
-    assert cutoffs == [104]
-    monkeypatch.setattr(classify, "_fixed_witness", lambda lower, upper: None)
+    # B^d = 2^d first exceeds 2^104 at d = 105
+    assert cutoffs == [105]
     del cutoffs[:]
+    assert tracial_rokhlin_verdict(car3, 105).witness == want
+    assert cutoffs == [105]
+    # a shallow enclosure widened by one grid step straddles a grid point
+    shallow = products.gap_product_tail(car3, 1, 105)
+    monkeypatch.undo()
+    cutoffs = _fake_shallow_tail(monkeypatch, 105, shallow.lo, shallow.hi + Fraction(1, 10**12))
     assert tracial_rokhlin_verdict(car3, 128).witness == want
-    assert cutoffs == [104, 128]
-    del cutoffs[:]
-    assert tracial_rokhlin_verdict(car3, 104).witness == want
-    assert cutoffs == [104]
+    assert cutoffs == [105, 128]
 
 
 def count_calls(monkeypatch, modules, names) -> dict[str, int]:
@@ -254,21 +282,22 @@ def count_calls(monkeypatch, modules, names) -> dict[str, int]:
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_report_computes_each_verdict_once(monkeypatch, name):
-    names = ("strict_rokhlin_verdict", "tracial_rokhlin_verdict", "outer_verdict", "gap_product_tail")
+    names = ("strict_rokhlin_verdict", "tracial_rokhlin_verdict", "outer_verdict", "fixed_tail")
     counts = count_calls(monkeypatch, [classify], names)
+    tails = count_calls(monkeypatch, [products], ["gap_product_tail"])
     classification_report(fixture(name))
-    assert counts == dict.fromkeys(names, 1)
+    assert counts == dict.fromkeys(names, 1) and tails["gap_product_tail"] == 1
 
 
 def test_extreme_trace_vector_makes_one_tail_call(monkeypatch):
-    counts = count_calls(monkeypatch, [classify, traces], ["gap_product_tail"])
+    counts = count_calls(monkeypatch, [products], ["gap_product_tail"])
     extreme_trace_vector(fixture("car3"), 1, 5, 64)
     assert counts["gap_product_tail"] == 1
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_extreme_trace_count_makes_no_tail_call(monkeypatch, name):
-    counts = count_calls(monkeypatch, [classify], ["gap_product_tail"])
+    counts = count_calls(monkeypatch, [products], ["gap_product_tail"])
     extreme_trace_count(fixture(name))
     assert counts["gap_product_tail"] == 0
 

@@ -223,8 +223,19 @@ def test_traces_deep_stage_finishes():
     assert s_hi == "0.000000000001"
 
 
+def test_traces_deep_cutoff_finishes():
+    # the weights come from the enclosure at cutoff 105, not 65,536
+    r = run_cli("traces", "car3", "--stage", "1", "--extreme", "1", "--cutoff", "65536", "--json", timeout=2)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["traces"]["vector"] == {
+        "stage": 1,
+        "r": {"lo": "0.644394047543", "hi": "0.644394047544"},
+        "s": {"lo": "0.355605952456", "hi": "0.355605952457"},
+    }
+
+
 def test_classify_deep_cutoff_finishes():
-    # the witness comes from the enclosure at cutoff 104, not 100,000
+    # the witness comes from the enclosure at cutoff 105, not 100,000
     r = run_cli("classify", "car3", "--cutoff", "100000", "--json", timeout=2)
     assert r.returncode == 0, r.stderr
     witness = json.loads(r.stdout)["classification"]["tracial_rokhlin"]["witness"]

@@ -10,6 +10,7 @@ from afrokhlin import (
     PeriodicTail,
     RankPair,
     RatInterval,
+    TailPositive,
     TailZero,
     UndecidedError,
     UniqueTraceError,
@@ -17,8 +18,10 @@ from afrokhlin import (
     fixture,
     invariant_trace_vector,
 )
+from afrokhlin import products
+from afrokhlin.report import trace_vector_json
 from afrokhlin.traces import TraceVector
-from oracles import MixingMatrix, exact_gap_product_tail
+from oracles import MixingMatrix, exact_gap_product_tail, reference_trace_vector
 from specgen import random_spec
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=1000)
@@ -170,3 +173,65 @@ def test_trace_of_eta_car3():
     size = spec.factor(1).size
     value_lo, value_hi = (r_lo - s_hi) / size, (r_hi - s_lo) / size
     assert Fraction("0.1443") <= value_lo <= value_hi <= Fraction("0.1444")
+
+
+def _tail_cutoffs(monkeypatch) -> list[int]:
+    """Record the cutoff of every `gap_product_tail` call made by `fixed_tail`."""
+    cutoffs = []
+    real = products.gap_product_tail
+    monkeypatch.setattr(
+        products, "gap_product_tail", lambda spec, m, c: cutoffs.append(c) or real(spec, m, c)
+    )
+    return cutoffs
+
+
+@pytest.mark.parametrize("cutoff", [1, 8, 64, 200, 1000])
+def test_extreme_vectors_render_as_the_cutoff_reference(monkeypatch, cutoff):
+    # weights read from a shallow enclosure render as those of the cutoff one,
+    # at shallow stages and at stages >= 250, where (1 - L)/2 is about 2^-stage
+    rng = random.Random(f"traces/{cutoff}")
+    cutoffs = _tail_cutoffs(monkeypatch)
+    checked = shallow = 0
+    for seed in range(300):
+        spec = random_spec(rng, f"s{seed}")
+        n0 = len(spec.prefix)
+        for n in (n0, n0 + 2, rng.randint(250, 400)):
+            extreme = rng.randint(0, 1)
+            del cutoffs[:]
+            try:
+                tv = extreme_trace_vector(spec, extreme, n, cutoff)
+            except (UniqueTraceError, UndecidedError):
+                continue
+            assert trace_vector_json(tv) == reference_trace_vector(spec, extreme, n, cutoff)
+            checked += 1
+            # the last enclosure made is the shallow one when it served
+            shallow += cutoffs[-1] < cutoff
+    assert checked > 200 and shallow >= (150 if cutoff >= 200 else 0)
+
+
+def test_extreme_vector_falls_back_on_a_straddle(monkeypatch):
+    # car3 from stage 1 has the shallow cutoff 105; around L = 1/5, the weight
+    # r = (1 + L)/2 sits on the grid point 0.6
+    car3 = fixture("car3")
+    want = reference_trace_vector(car3, 1, 1, 128)
+    real = products.gap_product_tail
+    L, eps = Fraction(1, 5), Fraction(1, 10**20)
+    for lo, hi, fixed in ((L + eps, L + 2 * eps, True), (L - eps, L + eps, False)):
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            products,
+            "gap_product_tail",
+            lambda spec, m, c: TailPositive(lo, hi) if c == 105 else real(spec, m, c),
+        )
+        cutoffs = _tail_cutoffs(monkeypatch)
+        tv = extreme_trace_vector(car3, 1, 1, 128)
+        if fixed:
+            assert cutoffs == [105]
+            assert trace_vector_json(tv) == {
+                "stage": 1,
+                "r": {"lo": "0.6", "hi": "0.600000000001"},
+                "s": {"lo": "0.399999999999", "hi": "0.4"},
+            }
+        else:
+            assert cutoffs == [105, 128] and trace_vector_json(tv) == want
+
