@@ -7,7 +7,7 @@ each stage map is diagonal: u scales by the matrix size k_n, v by the rank
 difference p_n - q_n.  `push_forward` works in this diagonal form, scaling u
 and v by the exact products of `products.range_product`, and
 `is_positive` scans the stage products rounded outward to the precision that
-the threshold needs (`_cone_scan`).  Equality and positivity of
+the threshold needs (`products.cone_scan`).  Equality and positivity of
 colimit classes are decided lazily from these scalings together with
 gap-product thresholds: a class with u > 0 is positive exactly when
 |v| * gap_product(stage, N) <= u at some finite stage N, which the ends of
@@ -40,9 +40,8 @@ from .citations import cite
 from .classify import NO, UNKNOWN, YES, Verdict, strict_rokhlin_verdict
 from .intervals import round_down, round_down_above, round_up
 from .products import (
-    _GUARD_BITS,
     DEFAULT_CUTOFF,
-    _gap_walk,
+    cone_scan,
     first_zero_gap_after,
     gap_product_tail,
     range_product,
@@ -128,7 +127,7 @@ def is_positive(
     tested against the threshold u / |v|, and 2**16 stages scanned past the
     element's stage (or the first scan, over the cutoff and the prefix, if
     that is longer); a verdict that needs more is unknown.  A scanned stage
-    costs one rounded step (`_cone_scan`), not a test on the exact stage
+    costs one rounded step (`cone_scan`), not a test on the exact stage
     product, whose bits grow with the square of the stage on an affine tail.
     """
     if spec.tail is None:
@@ -155,7 +154,7 @@ def is_positive(
     # which this first scan covers, so no exact enclosure below can equal the
     # threshold.  Later scans resume where this one stopped.
     absv = abs(v)
-    scan = _cone_scan(spec, s, u, absv)
+    scan = cone_scan(spec, s, u, absv)
     n, inside = next(scan)
     scan_to = max(s + max(cutoff, 8), len(spec.prefix) + 1)
     while not inside and n < scan_to:
@@ -217,27 +216,6 @@ def is_positive(
         },
         anchors,
     )
-
-
-def _cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
-    """Yield (n, |v| * gap_product(spec, s, n) <= u) for n = s, s + 1, ...
-
-    The stage products come from `_gap_walk` at prec = bits(u) + bits(|v|) +
-    _GUARD_BITS: exact while their denominator fits, then rounded outward to
-    lo <= gap_product * den <= hi.  A rounded stage is inside when |v| * hi <=
-    u * den and outside when |v| * lo > u * den; only a stage whose enclosure
-    straddles the threshold multiplies out the exact `range_product`.
-    """
-    prec = u.bit_length() + absv.bit_length() + _GUARD_BITS
-    for n, (lo, hi, den) in enumerate(_gap_walk(spec, s, prec), s):
-        bound = u * den
-        if absv * hi <= bound:
-            yield n, True
-        elif lo == hi or absv * lo > bound:
-            yield n, False
-        else:
-            diff, size = range_product(spec, s, n)
-            yield n, absv * diff <= u * size
 
 
 def is_totally_ordered(spec: ActionSpec) -> Verdict:

@@ -25,9 +25,9 @@ with P = B**j for an affine tail factor and P = 1, y = 0 otherwise.  One walk,
 drawing a factor only when asked; `range_product`, which `gap_product`,
 `condense` and `ktheory` read, takes one item of it.
 The rounded walk `_gap_walk`, which gives the tail enclosures and the
-positivity scan of `ktheory.is_positive` every stage product, reads the exact
-walk until the denominator outgrows the precision, then rounds from the next
-factor of the same stream, taking a mantissa V to
+positivity scan `cone_scan` of `ktheory.is_positive` every stage product,
+reads the exact walk until the denominator outgrows the precision, then
+rounds from the next factor of the same stream, taking a mantissa V to
 floor((V*x + floor(V*y / P)) / A) = floor(V*(x*P + y) / (A*P)), because
 floor(z / A) = floor(floor(z) / A).  No operand has the bits of P: a rounded
 step costs O(prec) when P is a power of two and one division by P otherwise.
@@ -242,23 +242,31 @@ def fixed_tail(spec: ActionSpec, m: int, cutoff: int, key) -> RatInterval:
     return gap_product_tail(spec, m, cutoff)
 
 
+def cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
+    """Yield (n, |v| * gap_product(spec, s, n) <= u) for n = s, s + 1, ...
+
+    The stage products come from `_gap_walk` at prec = bits(u) + bits(|v|) +
+    _GUARD_BITS: exact while their denominator fits, then rounded outward to
+    lo <= gap_product * den <= hi.  A rounded stage is inside when |v| * hi <=
+    u * den and outside when |v| * lo > u * den; only a stage whose enclosure
+    straddles the threshold multiplies out the exact `range_product`.
+    """
+    prec = u.bit_length() + absv.bit_length() + _GUARD_BITS
+    for n, (lo, hi, den) in enumerate(_gap_walk(spec, s, prec), s):
+        bound = u * den
+        if absv * hi <= bound:
+            yield n, True
+        elif lo == hi or absv * lo > bound:
+            yield n, False
+        else:
+            diff, size = range_product(spec, s, n)
+            yield n, absv * diff <= u * size
+
+
 def _floor_bits(x: Fraction, prec: int) -> Fraction:
     """Largest dyadic <= x in (0, 1] with about prec significant bits."""
     shift = prec + x.denominator.bit_length() - x.numerator.bit_length()
     return Fraction((x.numerator << shift) // x.denominator, 1 << shift)
-
-
-def _product_bit_length(u: int, v: int) -> int:
-    """(u * v).bit_length() for u, v >= 0: u*v / 2**(su + sv) lies in [tu*tv,
-    (tu + 1)(tv + 1)) for the 64-bit tops tu = u >> su, tv = v >> sv, and the exact
-    product is formed only if an operand fits 64 bits or the ends' lengths differ."""
-    su, sv = u.bit_length() - 64, v.bit_length() - 64
-    if su > 0 < sv:
-        tu, tv = u >> su, v >> sv
-        low = (tu * tv).bit_length()
-        if low == ((tu + 1) * (tv + 1) - 1).bit_length():
-            return low + su + sv
-    return (u * v).bit_length()
 
 
 def _enclose_gap_product(
@@ -283,9 +291,13 @@ def _gap_walk(spec: ActionSpec, m: int, prec: int):
     factor (x*P + y)/(A*P) takes a mantissa V to floor((V*x + floor(V*y / P))
     / A), which is floor(V*(x*P + y) / (A*P)) as floor(z / A) = floor(floor(z)
     / A); for a shift s < 0 the floor by 2**-s comes first, as V = v / 2**-s
-    is no integer.  Each rounded step moves an end by less than one unit of a
-    mantissa above 2**(prec - 2), so after N of them the ends lie within a
-    factor 1 -+ 4*N / 2**prec of the product.
+    is no integer.  The shift s = prec + 1 + bl(A*P) - bl(h) - bl(x*P + y), for
+    the upper mantissa h and bit length bl, needs no product: bl(u*v) is bl(u)
+    + bl(v) or one less, so h*(x*P + y)*2**s has prec + bl(A*P) bits or one
+    more, and the new h lies in (2**(prec - 1), 2**(prec + 2)]; without the + 1
+    it could fall near 2**(prec - 2).  Each rounded step moves an end by less
+    than one unit of a mantissa above 2**(prec - 2), so after N of them the
+    ends lie within a factor 1 -+ 4*N / 2**prec of the product.
     """
     stream = spec.split_stream(m)
     for num, den in _exact_walk(stream):
@@ -296,7 +308,7 @@ def _gap_walk(spec: ActionSpec, m: int, prec: int):
     scale = 0  # the mantissas stand for lo / 2**scale and -hi / 2**scale
     for x, y, A, P in chain([(num, 0, den, 1)], stream):
         # choose the shift that leaves about prec bits in the quotient
-        shift = prec + (A * P).bit_length() - _product_bit_length(-hi, x * P + y)
+        shift = prec + 1 + (A * P).bit_length() - (-hi).bit_length() - (x * P + y).bit_length()
         scale += shift
         if shift > 0:
             lo, hi = lo << shift, hi << shift

@@ -8,8 +8,9 @@ positivity by brute-force search over the reachable stages of a truncated
 system plus the exact end rule of a known tail, tail
 products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace
-and by the rounded loop over whole factors read one index at a time,
-the positivity scan by the exact stage products it rounds, the tracial
+and by the rounded loop over whole factors read one index at a time, under
+the same bit-length shift rule, the positivity scan `products.cone_scan` by
+the exact stage products it rounds, the tracial
 witness and the rendered extreme trace weights by the cutoff enclosure that
 the shallow shortcut of `products.fixed_tail` skips,
 the tail-family facts by scanning the factors of a tail one position at a
@@ -247,8 +248,9 @@ def _reduced_gap_product(spec: ActionSpec, m: int, n: int) -> Fraction:
 def reference_enclose_gap_product(spec: ActionSpec, m: int, n: int, prec: int, shifts=None):
     """_enclose_gap_product one factor at a time through ``spec.factor(i)``,
     multiplying each rounded mantissa by the whole a = p - q and dividing by
-    the whole b = p + q; the shifts of the rounded steps are appended to
-    ``shifts`` when it is a list."""
+    the whole b = p + q, after the shift prec + 1 + bl(b) - bl(hi) - bl(a);
+    the shifts of the rounded steps are appended to ``shifts`` when it is a
+    list."""
     i, num, den = m, 1, 1
     while den.bit_length() <= prec:
         if i == n:
@@ -260,7 +262,7 @@ def reference_enclose_gap_product(spec: ActionSpec, m: int, n: int, prec: int, s
     lo = hi = 1
     scale = 0
     for a, b in steps:
-        shift = prec + b.bit_length() - (hi * a).bit_length()
+        shift = prec + 1 + b.bit_length() - hi.bit_length() - a.bit_length()
         if shifts is not None:
             shifts.append(shift)
         if shift >= 0:

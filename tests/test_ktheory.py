@@ -29,9 +29,9 @@ from afrokhlin import (
     is_zero,
     push_forward,
 )
-from afrokhlin import ktheory
-from afrokhlin.ktheory import _cone_scan, torsion_family_k0
-from afrokhlin.products import range_product
+from afrokhlin import ktheory, products
+from afrokhlin.ktheory import torsion_family_k0
+from afrokhlin.products import cone_scan, range_product
 from afrokhlin.report import presentation_json
 from oracles import (
     ORACLE_TAILS,
@@ -693,7 +693,7 @@ def test_cone_scan_matches_exact_reference(cutoff):
         if pair is None:
             continue
         cases += 1
-        got = list(islice(_cone_scan(spec, s, *pair), cutoff + 8))
+        got = list(islice(cone_scan(spec, s, *pair), cutoff + 8))
         assert got == list(islice(reference_cone_scan(spec, s, *pair), cutoff + 8))
 
 
@@ -707,7 +707,7 @@ def test_is_positive_matches_exact_scan_reference(monkeypatch):
             u, v = 2 * pair[0], 2 * pair[1] * rng.choice([1, -1])
             cases.append((spec, K0Element(s, (u + v) // 2, (u - v) // 2)))
     got = [is_positive(spec, el, 8) for spec, el in cases]
-    monkeypatch.setattr(ktheory, "_cone_scan", reference_cone_scan)
+    monkeypatch.setattr(ktheory, "cone_scan", reference_cone_scan)
     assert got == [is_positive(spec, el, 8) for spec, el in cases]
 
 
@@ -718,8 +718,8 @@ def test_is_positive_boundary_stage_pays_one_exact_product(monkeypatch):
     spec = ActionSpec("sixths", (), PeriodicTail((RankPair(3, 1), RankPair(2, 1))))
     el = K0Element(0, 1 + 6**80, 1 - 6**80)  # u = 2, |v| = 2 * 6^80
     calls = []
-    real = ktheory.range_product
-    monkeypatch.setattr(ktheory, "range_product", lambda *a: calls.append(a[1:]) or real(*a))
+    real = products.range_product
+    monkeypatch.setattr(products, "range_product", lambda *a: calls.append(a[1:]) or real(*a))
     verdict = is_positive(spec, el)
     assert verdict.witness == {"kind": "in_cone_at_stage", "stage": 160}
     assert calls == [(0, 160)]

@@ -1,8 +1,11 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import afrokhlin
 from afrokhlin import (
     ActionSpec,
     AffinePowerTail,
@@ -23,7 +26,6 @@ from afrokhlin.intervals import round_down, round_up
 from afrokhlin.products import (
     _enclose_gap_product,
     _exact_walk,
-    _product_bit_length,
     first_zero_gap_after,
     range_product,
 )
@@ -343,29 +345,6 @@ def test_split_enclosure_matches_the_whole_factor_reference():
     assert min(shifts) < 0 < max(shifts)
 
 
-def test_product_bit_length_reads_the_top_bits():
-    # tops 2**64 - 1 and 2**63 over 2**273 leave 400 or 401 bits open, so
-    # only the exact product settles 2**400 - 1, and the 401 bits of the
-    # second product
-    u = 2**200 - 1
-    for v, bits in ((2**200 + 1, 400), (2**200 + 2**137 - 1, 401)):
-        tu, tv = u >> 136, v >> 137
-        assert (tu * tv).bit_length() + 273 == 400
-        assert ((tu + 1) * (tv + 1) - 1).bit_length() + 273 == 401
-        assert (u * v).bit_length() == bits
-        assert _product_bit_length(u, v) == bits
-    # operands of at most 64 bits, and near powers of two, where the tops
-    # decide least
-    rng = random.Random(1314)
-    for _ in range(1000):
-        sizes = rng.choice((rng.randint(1, 64), rng.randint(65, 600))), rng.randint(1, 600)
-        u, v = (
-            rng.choice(((1 << bits) + rng.randint(-2, 2), rng.getrandbits(bits))) for bits in sizes
-        )
-        u, v = max(u, 0), max(v, 0)
-        assert _product_bit_length(u, v) == (u * v).bit_length(), (u, v)
-
-
 def test_tail_walk_reads_integers_only(monkeypatch):
     # the tail enclosures and the positivity scan read the integer factor
     # stream: no ActionSpec.factor call and no RankPair per factor
@@ -390,3 +369,16 @@ def test_tail_walk_reads_integers_only(monkeypatch):
     v = is_positive(car3, el, 8)
     assert v.is_no and v.witness["kind"] == "tail_threshold_exceeded"
     assert counts == {"factor": 0, "RankPair": 0}
+
+
+def test_no_module_but_products_imports_its_private_names():
+    # the rounded walk, its guard bits and the precision rules built on them
+    # are read only inside products: every other module imports public names
+    offenders = []
+    for path in sorted(Path(afrokhlin.__file__).parent.glob("*.py")):
+        if path.name == "products.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("products", "afrokhlin.products"):
+                offenders += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert offenders == []
