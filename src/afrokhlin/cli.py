@@ -27,6 +27,7 @@ import json
 import os
 import re
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from itertools import islice
 from pathlib import Path
 
@@ -212,20 +213,43 @@ def cmd_condense(args, spec: ActionSpec) -> Result:
     return doc, text, False
 
 
+# exact integer arithmetic on Decimals: a product that would round raises
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
+
+
 def bratteli_dot(spec: ActionSpec, stages: int) -> str:
+    """The Bratteli diagram of the first ``stages`` factors in DOT.
+
+    Each stage's two nodes are labelled with its cumulative matrix size.
+    That size is kept as a Decimal and multiplied by each factor size in an
+    exact context.  Decimal keeps its digits in base 10**19, so a multiply
+    by a small factor and the rendering of a label are linear in the digits,
+    and the diagram costs what it prints; the bytes are those of str(int).
+    The interpreter's digit limit for int-to-str conversion, read at call
+    time, is the rendering budget: the first label with more digits raises
+    the ValueError, with the text, that str(int) raises there.  Interpreters
+    without sys.get_int_max_str_digits (before 3.10.7) have no limit.
+    """
+    budget = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     nodes, edges = [], []
-    t = 1
-    for n, (diff, size) in enumerate(islice(spec.factor_stream(0), stages), 1):
-        t *= size
-        label = str(t)  # decimal conversion is quadratic in the digits: once per stage
-        nodes.append(f'  L{n} [label="{label}"];')
-        nodes.append(f'  R{n} [label="{label}"];')
-        if n > 1:
-            p, q = (size + diff) // 2, (size - diff) // 2
-            edges.append(f'  L{n - 1} -> L{n} [label="{p}"];')
-            edges.append(f'  R{n - 1} -> R{n} [label="{p}"];')
-            edges.append(f'  L{n - 1} -> R{n} [label="{q}"];')
-            edges.append(f'  R{n - 1} -> L{n} [label="{q}"];')
+    with localcontext(_EXACT):
+        t = Decimal(1)
+        for n, (diff, size) in enumerate(islice(spec.factor_stream(0), stages), 1):
+            t *= size
+            if budget and t.adjusted() >= budget:
+                raise ValueError(
+                    f"Exceeds the limit ({budget} digits) for integer string conversion; "
+                    "use sys.set_int_max_str_digits() to increase the limit"
+                )
+            label = str(t)
+            nodes.append(f'  L{n} [label="{label}"];')
+            nodes.append(f'  R{n} [label="{label}"];')
+            if n > 1:
+                p, q = (size + diff) // 2, (size - diff) // 2
+                edges.append(f'  L{n - 1} -> L{n} [label="{p}"];')
+                edges.append(f'  R{n - 1} -> R{n} [label="{p}"];')
+                edges.append(f'  L{n - 1} -> R{n} [label="{q}"];')
+                edges.append(f'  R{n - 1} -> L{n} [label="{q}"];')
     return "\n".join(["digraph bratteli {", "  rankdir=TB;", *nodes, *edges, "}"])
 
 

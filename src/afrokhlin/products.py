@@ -314,7 +314,11 @@ def _gap_walk(spec: ActionSpec, m: int, prec: int):
             lo, hi = lo << shift, hi << shift
         lo_w, hi_w = lo * x, hi * x
         if y and P & (P - 1):
-            lo_w, hi_w = lo_w + lo * y // P, hi_w + hi * y // P
+            # one long division by P: with d = -hi - lo small, hi*y is
+            # -q*P - rem - d*y and floor((-q*P + z) / P) = -q + floor(z / P),
+            # where z has the size of P and z // P is small
+            q, rem = divmod(lo * y, P)
+            lo_w, hi_w = lo_w + q, hi_w - q + (-rem - (-hi - lo) * y) // P
         elif y:  # floor(v*y / P) is a shift
             t = P.bit_length() - 1
             lo_w, hi_w = lo_w + (lo * y >> t), hi_w + (hi * y >> t)

@@ -10,7 +10,8 @@ products by deep partial products with elementary remainder bounds, the
 rounded tail enclosures by the exact `Fraction` partial product they replace
 and by the rounded loop over whole factors read one index at a time, under
 the same bit-length shift rule, the positivity scan `products.cone_scan` by
-the exact stage products it rounds, the tracial
+the exact stage products it rounds, the Bratteli diagram by its int stage
+sizes rendered with ``str()``, the tracial
 witness and the rendered extreme trace weights by the cutoff enclosure that
 the shallow shortcut of `products.fixed_tail` skips,
 the tail-family facts by scanning the factors of a tail one position at a
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, islice
 
 from afrokhlin import (
     ActionSpec,
@@ -282,6 +283,26 @@ def reference_cone_scan(spec: ActionSpec, s: int, u: int, absv: int):
             f = spec.factor(n)
             diff, size = diff * (f.p - f.q), size * f.size
         yield n, absv * diff <= u * size
+
+
+def reference_bratteli_dot(spec: ActionSpec, stages: int) -> str:
+    """The Bratteli diagram in DOT from the running stage size as an int,
+    each label rendered with ``str()``, which raises past the interpreter's
+    digit limit."""
+    nodes, edges = [], []
+    t = 1
+    for n, (diff, size) in enumerate(islice(spec.factor_stream(0), stages), 1):
+        t *= size
+        label = str(t)
+        nodes.append(f'  L{n} [label="{label}"];')
+        nodes.append(f'  R{n} [label="{label}"];')
+        if n > 1:
+            p, q = (size + diff) // 2, (size - diff) // 2
+            edges.append(f'  L{n - 1} -> L{n} [label="{p}"];')
+            edges.append(f'  R{n - 1} -> R{n} [label="{p}"];')
+            edges.append(f'  L{n - 1} -> R{n} [label="{q}"];')
+            edges.append(f'  R{n - 1} -> L{n} [label="{q}"];')
+    return "\n".join(["digraph bratteli {", "  rankdir=TB;", *nodes, *edges, "}"])
 
 
 def reference_tracial_witness(spec: ActionSpec, cutoff: int) -> dict:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import cycle, islice
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from afrokhlin import ActionSpec, cli, fixture, report
+from afrokhlin import ActionSpec, PeriodicTail, RankPair, cli, fixture, report
 from afrokhlin.cli import bratteli_dot, main
+from oracles import reference_bratteli_dot
+from specgen import random_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = ("car1", "car2", "car3", "notcar")
@@ -359,6 +362,73 @@ def test_bratteli_walks_the_stages_once(stream_items):
             assert f'  R{n - 1} -> L{n} [label="{f.q}"];' in dot
 
 
+def test_bratteli_matches_the_int_reference_on_random_specs():
+    rng = random.Random(29)
+    for i in range(300):
+        spec = random_spec(rng, f"random{i}")
+        for stages in range(1, 61):
+            assert bratteli_dot(spec, stages) == reference_bratteli_dot(spec, stages)
+
+
+# the last stage whose size has at most 4300 digits, the default digit limit
+LAST_WITHIN_BUDGET = {"car1": 300, "car2": 168, "car3": 168, "notcar": 300}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_bratteli_matches_the_int_reference_on_fixtures(name):
+    spec, last = fixture(name), LAST_WITHIN_BUDGET[name]
+    for stages in range(1, last + 1):
+        assert bratteli_dot(spec, stages) == reference_bratteli_dot(spec, stages)
+
+
+@pytest.fixture
+def digit_limit():
+    """Set the interpreter's int digit limit for one test, then restore it."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+def test_bratteli_renders_every_stage_without_a_digit_limit(digit_limit):
+    digit_limit(0)
+    car2 = fixture("car2")
+    assert bratteli_dot(car2, 200) == reference_bratteli_dot(car2, 200)
+
+
+def _reference_error(spec, stages):
+    try:
+        reference_bratteli_dot(spec, stages)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# stage n of "tens" has size 10**n, so its first label past a limit L has
+# exactly L + 1 digits
+TENS = ActionSpec("tens", (), PeriodicTail((RankPair(7, 3),)))
+
+
+@pytest.mark.parametrize(
+    "name,limit", [("car2", 640), ("car2", 4300), ("car3", 640), ("car3", 4300), ("tens", 640)]
+)
+def test_bratteli_raises_the_reference_error_at_the_same_stage(name, limit, digit_limit):
+    digit_limit(limit)
+    spec = TENS if name == "tens" else fixture(name)
+    # the reference raises from some stage on: bisect for the first one
+    ok, bad = 1, 1000
+    assert _reference_error(spec, ok) is None and _reference_error(spec, bad) is not None
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        if _reference_error(spec, mid) is None:
+            ok = mid
+        else:
+            bad = mid
+    assert bratteli_dot(spec, ok) == reference_bratteli_dot(spec, ok)
+    with pytest.raises(ValueError) as exc:
+        bratteli_dot(spec, bad)
+    assert str(exc.value) == _reference_error(spec, bad)
+
+
 def test_condense_multiplies_each_factor_once(stream_items, capsys):
     assert main(["condense", "car3", "--range", "0..40", "--json"]) == 0
     assert len(stream_items) == 40
@@ -617,6 +687,13 @@ AFFINE = {"kind": "affine_power", "B": 2, "A": 1, "alpha": 1, "beta": 0, "gamma"
             "error: positivity needs an infinite action",
         ),
         (None, ["traces", "car2", "--stage", "-1", "--extreme", "inv"], 2, "error: stage must be >= 0"),
+        (
+            None,
+            ["bratteli", "car2", "--stages", "200"],
+            2,
+            "error: Exceeds the limit (4300 digits) for integer string conversion; "
+            "use sys.set_int_max_str_digits() to increase the limit",
+        ),
     ],
     ids=[
         "action-not-object",
@@ -629,6 +706,7 @@ AFFINE = {"kind": "affine_power", "B": 2, "A": 1, "alpha": 1, "beta": 0, "gamma"
         "finite-classify",
         "finite-positive",
         "negative-stage",
+        "bratteli-digit-limit",
     ],
 )
 def test_outside_input_errors_in_process(doc, argv, code, line, tmp_path, capsys):
