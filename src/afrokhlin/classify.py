@@ -11,8 +11,9 @@ product's simplicity, supernatural number and extreme trace count from them;
 `extreme_trace_count` alone reads the count from the tail rule, no enclosure.
 
 The tracial no witness is the cutoff enclosure of the tail product rounded
-to 12 digits, read through `products.fixed_tail`: from a shallower enclosure
-that fixes those bytes, and from the cutoff one only when none does.
+to 12 digits, read through `products.fixed_tail`: from the Euler enclosure
+of the limit when that fixes those bytes, and from the cutoff one only on a
+straddle.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ fraction.  Otherwise P * (1 - r) lies within about P * r**2 of the limit, so
 P is needed to about 2 * log2(1/r) bits and no more: it is enclosed by dyadic
 numbers rounded outward (lower end down, upper end up) at a working precision
 derived from r alone.  A rendering that rounds the ends outward, as the
-tracial witness and the trace weights do, is read through `fixed_tail`, from
-a shallow enclosure whenever that renders as the cutoff one.
+tracial witness and the trace weights do, is read through `fixed_tail`: from
+the Euler enclosure of the limit of a positive affine tail, `_euler_tail`,
+and from the cutoff walk only on a straddle.
 
 Every product reads the factors after a range start from one stream,
 `ActionSpec.split_stream`, in split form: p - q = x*P + y and p + q = A*P,
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 from .actions import ActionSpec, FiniteActionError, RankPair
 from .intervals import RatInterval
@@ -190,56 +191,104 @@ def gap_product_tail(
 
 def fixed_tail(spec: ActionSpec, m: int, cutoff: int, key) -> RatInterval:
     """An enclosure E of the tail product from m with key(E.lo, E.hi) equal to
-    key at the ends of `gap_product_tail(spec, m, cutoff)`, read from a
-    shallower enclosure when one fixes it; each component of ``key`` reads one
-    end and is monotone in it, as a rendering rounded outward is.
+    key at the ends of `gap_product_tail(spec, m, cutoff)`, read from the
+    Euler enclosure of `_euler_tail` when that fixes it; each component of
+    ``key`` reads one end and is monotone in it, as a rendering rounded
+    outward is.
 
-    A tail with a nonzero remainder bound is a positive affine tail with base
-    B.  Its shallow cutoff is d = max(settle depth, least d with B**d >
-    2**(40 + _GUARD_BITS)), used when d < c = cutoff.  Write r_k for the
-    remainder bound of the cutoff-k enclosure, at depth b + k from the base
-    depth b = max(settle depth, m - prefix length).  The cutoff-d enclosure
-    [l, u] brackets the cutoff-c ends:
+    A positive tail with a nonzero remainder bound is an affine tail with
+    base B and |c| = A.  When it has no zero gap after m and settles by the
+    cutoff, the cutoff enclosure ends a remainder bound r_c =
+    remainder_bound(b + cutoff) deep, from the base depth b = max(settle
+    depth, m - prefix length).  If r_c <= 1/4, the Euler enclosure [l, u] of
+    the limit L brackets the cutoff ends:
 
-        lower_c in [l * (1 - 2 r_d), u],  upper_c in [l, min(u * (1 + 2 r_d), 1)].
+        lower_c in [l * (1 - 2 r_c), u],  upper_c in [l, min(u * (1 + 2 r_c), 1)].
 
-    The inner ends hold as lower_c <= L <= u and upper_c >= L >= l for the
-    limit L.  For the outer ones, r_c <= r_d, and the partial product P_c
-    satisfies P_c * (1 - r_c) <= L <= P_c.  `_gap_walk` keeps P_c within a
-    factor 1 -+ delta, delta = 4N / 2**prec <= r_c**2 / 2**62 at the
-    precision of `gap_product_tail`, and `_floor_bits` loses less than
-    2**(1 - prec) more, so lower_c >= l * (1 - r_c) * (1 - 2 delta) >= l * (1
-    - 2 r_d), and upper_c <= P_c * (1 + delta) <= u * (1 + delta) / (1 - r_d)
-    <= u * (1 + 2 r_d).  An exact enclosure has delta = 0.  When key takes
-    one value at the outer ends and at the inner ones, monotonicity fixes it
-    on both brackets, and the outer enclosure is returned; otherwise the
-    cutoff enclosure is.
+    The inner ends hold as lower_c <= L <= u and upper_c >= L >= l.  For the
+    outer ones, the partial product P_c satisfies P_c * (1 - r_c) <= L <= P_c.
+    `_gap_walk` keeps P_c within a factor 1 -+ delta, delta = 4N / 2**prec <=
+    r_c**2 / 2**62 at the precision of `gap_product_tail`, and `_floor_bits`
+    loses less than 2**(1 - prec) more, so lower_c >= l * (1 - r_c) * (1 - 2
+    delta) >= l * (1 - 2 r_c), and upper_c <= P_c * (1 + delta) <= u * (1 +
+    delta) / (1 - r_c) <= u * (1 + 2 r_c), as delta <= r_c * (1 - 2 r_c) when
+    r_c <= 1/4.  An exact enclosure has delta = 0.  When key takes one value
+    at the outer ends and at the inner ones, monotonicity fixes it on both
+    brackets, and the outer enclosure is returned; otherwise the cutoff
+    enclosure is.
 
     The brackets are narrow against a 12-digit grid: round_down and round_up
-    step by at least 10^-12 > 2^-40 of any value in (0, 1].  The affine tail
-    has r_d = r_0 * B**-d, and r_0 <= 1 / (B - 1) <= 1 as A * B**b >= 2e, so
-    r_d < 2**-(40 + _GUARD_BITS): the brackets, about 3 r_d wide relative to
-    L, are about _GUARD_BITS bits narrower than a grid step.  The factor at
-    tail position b + 1 alone gives 1 - L >= r_0 * (B - 1) / B, so they are at
-    most 6 * B**-d wide relative to 1 - L as well, and ends read from
-    (1 - L) / 2 are fixed alike.
+    step by at least 10^-12 > 2^-40 of any value in (0, 1].  The Euler
+    enclosure is narrower than 2**-(40 + _GUARD_BITS) relative to L and to
+    1 - L, and the slack 2 r_c is at most 2 * B**-cutoff relative to L and
+    4 * B**-cutoff relative to 1 - L >= 2e / (A * B**(b + 1)), as A * B**b >=
+    2e for the smaller rank e, so ends read from (1 - L) / 2 are fixed alike.
     """
     tail = spec.tail
-    if tail is not None and tail.divergence() is None and tail.remainder_bound(0):
+    if (
+        tail is not None
+        and tail.divergence() is None
+        and tail.remainder_bound(0)
+        and first_zero_gap_after(spec, m) is None
+    ):
         settle = tail.settle_depth()
-        # B**d <= 2**k up to d = 64k / bits(B**64), as bits(B**64) > 64 log2(B)
-        k = 40 + _GUARD_BITS
-        d = 64 * k // (tail.B**64).bit_length()
-        while tail.B**d <= 1 << k:
-            d += 1
-        d = max(settle, d)
-        if d < cutoff:
-            enc = gap_product_tail(spec, m, d)
-            slack = 2 * tail.remainder_bound(max(settle, m - len(spec.prefix)) + d)
-            lo, hi = enc.lo * (1 - slack), min(enc.hi * (1 + slack), 1)
-            if lo and key(lo, hi) == key(enc.hi, enc.lo):
-                return TailPositive(lo, hi)
+        r = tail.remainder_bound(max(settle, m - len(spec.prefix)) + cutoff)
+        if settle <= cutoff and 4 * r <= 1:
+            lo, hi = _euler_tail(spec, m)
+            outer_lo, outer_hi = lo * (1 - 2 * r), min(hi * (1 + 2 * r), 1)
+            if key(outer_lo, outer_hi) == key(hi, lo):
+                return TailPositive(outer_lo, outer_hi)
     return gap_product_tail(spec, m, cutoff)
+
+
+def _euler_tail(spec: ActionSpec, m: int) -> tuple[Fraction, Fraction]:
+    """Rational l <= L <= u for the limit L of the tail product from m of a
+    positive affine tail with smaller rank e > 0 and |c| = A.
+
+    From tail position j1 = max(settle depth, m - prefix length + 1) on, each
+    gap is 1 - 2e / (A * B**j), so L = G * (z; q)_inf with G =
+    gap_product(spec, m, prefix length + j1 - 1), z = 2e / N for N = A *
+    B**j1, and q = 1 / B.  Euler's identity (Andrews, The Theory of
+    Partitions, 1976, Cor. 2.2) sums (z; q)_inf = sum over k of t_k, t_0 = 1 and
+    t_k / t_(k - 1) = -z * B / (B**k - 1).  As no gap after m is zero, z < 1,
+    so |t_k| decreases from k = 1 on, and the signs alternate: after the
+    terms up to K the rest has the sign of t_(K + 1) and at most its size.
+
+    The sum is taken in fixed point at W bits: |t_k| * 2**W is floored and
+    ceiled from the previous floor and ceiling, and the first term whose
+    ceiling is one unit or less bounds the rest.  A floor or a ceiling moves
+    a term by less than 3 units, as the ratios from k = 2 on are at most
+    2/3; |t_k| <= 4 * 2**-(k * (k - 1) / 2), so at most K <= sqrt(2W + 10) +
+    1 terms are summed, and [l, u] is less than 6K + 1 units wide.  Against
+    L >= G * (1 - z) * (q; q)_inf >= G / (4N) and 1 - L >= z >= 2 / N, the
+    width W = 40 + _GUARD_BITS + bl(N) + bl(bl(N)) + 8, for bit length bl,
+    keeps it below 2**-(40 + _GUARD_BITS) relative to L and to 1 - L.
+    """
+    tail, n0 = spec.tail, len(spec.prefix)
+    j1 = max(tail.settle_depth(), m - n0 + 1)
+    B = tail.B
+    N = tail.A * B**j1
+    step = 2 * tail.eventual_smaller_rank() * B  # z * B = step / N
+    width = 40 + _GUARD_BITS + N.bit_length() + N.bit_length().bit_length() + 8
+    lo = hi = total_lo = total_hi = 1 << width  # |t_k| is in [lo, hi] units
+    power = 1
+    for k in count(1):
+        power *= B
+        den = N * (power - 1)
+        lo, hi = lo * step // den, -(-hi * step // den)
+        if hi <= 1:
+            # the rest lies between 0 and t_k
+            if k % 2:
+                total_lo -= hi
+            else:
+                total_hi += hi
+            break
+        if k % 2:
+            total_lo, total_hi = total_lo - hi, total_hi - lo
+        else:
+            total_lo, total_hi = total_lo + lo, total_hi + hi
+    G = gap_product(spec, m, n0 + j1 - 1)
+    return G * Fraction(total_lo, 1 << width), G * Fraction(total_hi, 1 << width)
 
 
 def cone_scan(spec: ActionSpec, s: int, u: int, absv: int):

@@ -64,7 +64,7 @@ def extreme_trace_vector(
 
     With L the certified tail gap product from stage n, extreme 1 has weights
     ((1 + L)/2, (1 - L)/2) and extreme 0 the swap.  The enclosure of L may be
-    a shallower one than the cutoff's when its weights render alike.
+    the Euler enclosure of the limit when its weights render alike.
     Requires a spec whose trace simplex actually has two extreme points.
     """
     if extreme not in (0, 1):

@@ -13,7 +13,8 @@ the same bit-length shift rule, the positivity scan `products.cone_scan` by
 the exact stage products it rounds, the Bratteli diagram by its int stage
 sizes rendered with ``str()``, the tracial
 witness and the rendered extreme trace weights by the cutoff enclosure that
-the shallow shortcut of `products.fixed_tail` skips,
+the Euler enclosure of `products.fixed_tail` skips, that Euler enclosure
+by mpmath's q-Pochhammer symbol,
 the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
 axioms, greedy towers by scanning every row for a fixed point and
@@ -29,6 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
+
+import mpmath
 
 from afrokhlin import (
     ActionSpec,
@@ -207,6 +210,29 @@ def dyadic_euler_interval(terms: int = 120) -> tuple[Fraction, Fraction]:
     for j in range(1, terms + 1):
         partial *= 1 - Fraction(1, 2**j)
     return partial * (1 - Fraction(1, 2**terms)), partial
+
+
+def q_pochhammer_tail(spec: ActionSpec, m: int, prec: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of the tail product from m of a positive affine tail with
+    |c| = A, by mpmath's q-Pochhammer symbol at prec bits.
+
+    The gap ratios of the factors after m up to two tail positions past the
+    settle depth (or past m) are multiplied out one factor at a time; each
+    gap j after them is 1 - z * q**(j - j0) with z = 2e / (A * B**j0) and
+    q = 1 / B, so the rest is (z; q)_inf.  The value is widened by
+    2**(8 - prec) relative for mpmath's rounding.
+    """
+    tail, n0 = spec.tail, len(spec.prefix)
+    j0 = max(tail.settle_depth(), m - n0 + 1) + 2
+    head = Fraction(1)
+    for n in range(m + 1, n0 + j0):
+        head *= spec.factor(n).gap
+    with mpmath.workprec(prec):
+        z = mpmath.mpf(2 * tail.eventual_smaller_rank()) / (tail.A * tail.B**j0)
+        man, exp = mpmath.qp(z, mpmath.mpf(1) / tail.B).man_exp
+    value = head * man * Fraction(2) ** exp
+    slack = Fraction(1, 2 ** (prec - 8))
+    return value * (1 - slack), value * (1 + slack)
 
 
 def exact_gap_product_tail(spec: ActionSpec, m: int, cutoff: int):

@@ -189,80 +189,94 @@ def _tail_cutoffs(monkeypatch) -> list[int]:
     return cutoffs
 
 
+def _euler_starts(monkeypatch, enclosure=None) -> list[int]:
+    """Record the range start of every `_euler_tail` call made by `fixed_tail`,
+    and make it return ``enclosure`` when one is given."""
+    starts = []
+    real = products._euler_tail
+    monkeypatch.setattr(
+        products,
+        "_euler_tail",
+        lambda spec, m: starts.append(m) or (enclosure or real(spec, m)),
+    )
+    return starts
+
+
 @pytest.mark.parametrize("cutoff", [1, 8, 64, 200, 1000])
 def test_tracial_witness_matches_cutoff_reference(monkeypatch, cutoff):
-    # the witness read from the shallow enclosure has the bytes of the cutoff one
+    # the witness read from the Euler enclosure has the bytes of the cutoff one
     rng = random.Random(cutoff)
-    cutoffs = _tail_cutoffs(monkeypatch)
+    cutoffs, starts = _tail_cutoffs(monkeypatch), _euler_starts(monkeypatch)
     shallow = 0
     for _ in range(200):
         spec = random_spec(rng)
-        del cutoffs[:]
+        del cutoffs[:], starts[:]
         witness = tracial_rokhlin_verdict(spec, cutoff).witness
         assert witness == reference_tracial_witness(spec, cutoff)
-        if cutoffs[0] < cutoff:
-            # the shallow cutoff d is the least one >= settle depth with B^d > 2^104,
-            # so the remainder bound there is below 2^-104
-            shallow += 1
-            d, settle = cutoffs[0], spec.tail.settle_depth()
-            B, bound = spec.tail.B, spec.tail.remainder_bound
-            base = max(settle, witness["m"] - len(spec.prefix))
-            assert B**d > 2**104 and bound(base + d) < Fraction(1, 2**104)
-            assert d == settle or B ** (d - 1) <= 2**104
-    assert shallow >= (30 if cutoff >= 200 else 0)
-
-
-def _fake_shallow_tail(monkeypatch, d: int, lo: Fraction, hi: Fraction) -> list[int]:
-    """Make `gap_product_tail` at cutoff d return [lo, hi]; record every cutoff."""
-    real = products.gap_product_tail
-    monkeypatch.setattr(
-        products,
-        "gap_product_tail",
-        lambda spec, m, c: TailPositive(lo, hi) if c == d else real(spec, m, c),
-    )
-    return _tail_cutoffs(monkeypatch)
+        # no walk but the one at the cutoff, after an Euler enclosure or alone
+        assert cutoffs in ([], [cutoff]) and len(starts + cutoffs) >= 1
+        if starts:
+            # the Euler bracket is read only for a positive tail with a
+            # nonzero remainder, settled by the cutoff, with r_c <= 1/4
+            tail, m = spec.tail, witness["m"]
+            settle = tail.settle_depth()
+            assert starts == [m] and witness["kind"] == "positive_tail_product"
+            assert tail.remainder_bound(0) and settle <= cutoff
+            base = max(settle, m - len(spec.prefix))
+            assert tail.remainder_bound(base + cutoff) <= Fraction(1, 4)
+        shallow += not cutoffs
+    # a bracket 2 r_c wide fixes 12 digits only at cutoffs of about 40 / log2(B)
+    assert shallow >= (40 if cutoff >= 64 else 0)
 
 
 def test_fixed_witness_falls_back_on_a_straddle(monkeypatch):
-    # car3 from m = 1 has the shallow cutoff 105; give it chosen enclosures [l, u]
+    # car3 from m = 1 at cutoff 128 has r_c = 2^-129; give its Euler
+    # enclosure chosen ends [l, u]
     car3, key = fixture("car3"), classify._witness_ends
     full = products.gap_product_tail(car3, 1, 128)
+    r = car3.tail.remainder_bound(129)
+    assert r == Fraction(1, 2**129)
     grid, eps = Fraction(288788095087, 10**12), Fraction(1, 10**20)
     step = Fraction(1, 10**12)
     for (lo, hi), fixed in (
         ((grid - 2 * eps, grid - eps), (grid - step, grid)),
         ((grid + eps, grid + 2 * eps), (grid, grid + step)),
         ((grid - eps, grid + eps), None),
-        # the 2 r_d slack alone reaches the grid point
+        # the 2 r_c slack alone reaches the grid point
         ((grid, grid + eps), None),
         ((grid - eps, grid), None),
+        # and so does it from 1.5 r_c away, where r_c alone would not
+        ((grid / (1 - 3 * r / 2), grid + eps), None),
+        ((grid - eps, grid / (1 + 3 * r / 2)), None),
     ):
         monkeypatch.undo()
-        cutoffs = _fake_shallow_tail(monkeypatch, 105, lo, hi)
+        starts = _euler_starts(monkeypatch, (lo, hi))
+        cutoffs = _tail_cutoffs(monkeypatch)
         got = products.fixed_tail(car3, 1, 128, key)
+        assert starts == [1]
         if fixed is None:
-            assert cutoffs == [105, 128] and got == full
+            assert cutoffs == [128] and got == full
         else:
-            assert cutoffs == [105] and key(got.lo, got.hi) == fixed
+            assert cutoffs == [] and key(got.lo, got.hi) == fixed
             assert got.lo < lo and hi < got.hi
 
 
 def test_tracial_witness_falls_back_to_the_cutoff_enclosure(monkeypatch):
     car3 = fixture("car3")
     want = reference_tracial_witness(car3, 128)
+    cutoffs, starts = _tail_cutoffs(monkeypatch), _euler_starts(monkeypatch)
+    assert tracial_rokhlin_verdict(car3, 128).witness == want
+    assert cutoffs == [] and starts == [1]
+    del starts[:]
+    assert tracial_rokhlin_verdict(car3, 105).witness == want
+    assert cutoffs == [] and starts == [1]
+    # an Euler enclosure widened by one grid step straddles a grid point
+    lo, hi = products._euler_tail(car3, 1)
+    monkeypatch.undo()
+    starts = _euler_starts(monkeypatch, (lo, hi + Fraction(1, 10**12)))
     cutoffs = _tail_cutoffs(monkeypatch)
     assert tracial_rokhlin_verdict(car3, 128).witness == want
-    # B^d = 2^d first exceeds 2^104 at d = 105
-    assert cutoffs == [105]
-    del cutoffs[:]
-    assert tracial_rokhlin_verdict(car3, 105).witness == want
-    assert cutoffs == [105]
-    # a shallow enclosure widened by one grid step straddles a grid point
-    shallow = products.gap_product_tail(car3, 1, 105)
-    monkeypatch.undo()
-    cutoffs = _fake_shallow_tail(monkeypatch, 105, shallow.lo, shallow.hi + Fraction(1, 10**12))
-    assert tracial_rokhlin_verdict(car3, 128).witness == want
-    assert cutoffs == [105, 128]
+    assert cutoffs == [128] and starts == [1]
 
 
 def count_calls(monkeypatch, modules, names) -> dict[str, int]:
@@ -284,15 +298,18 @@ def count_calls(monkeypatch, modules, names) -> dict[str, int]:
 def test_report_computes_each_verdict_once(monkeypatch, name):
     names = ("strict_rokhlin_verdict", "tracial_rokhlin_verdict", "outer_verdict", "fixed_tail")
     counts = count_calls(monkeypatch, [classify], names)
-    tails = count_calls(monkeypatch, [products], ["gap_product_tail"])
+    tails = count_calls(monkeypatch, [products], ["gap_product_tail", "_euler_tail"])
     classification_report(fixture(name))
-    assert counts == dict.fromkeys(names, 1) and tails["gap_product_tail"] == 1
+    # car3 is the one fixture with a positive tail: its end is Euler's
+    euler = name == "car3"
+    assert counts == dict.fromkeys(names, 1)
+    assert tails == {"gap_product_tail": 1 - euler, "_euler_tail": int(euler)}
 
 
 def test_extreme_trace_vector_makes_one_tail_call(monkeypatch):
-    counts = count_calls(monkeypatch, [products], ["gap_product_tail"])
+    counts = count_calls(monkeypatch, [products], ["gap_product_tail", "_euler_tail"])
     extreme_trace_vector(fixture("car3"), 1, 5, 64)
-    assert counts["gap_product_tail"] == 1
+    assert counts == {"gap_product_tail": 0, "_euler_tail": 1}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -227,7 +227,7 @@ def test_traces_deep_stage_finishes():
 
 
 def test_traces_deep_cutoff_finishes():
-    # the weights come from the enclosure at cutoff 105, not 65,536
+    # the weights come from the Euler enclosure, not from a walk of 65,536 factors
     r = run_cli("traces", "car3", "--stage", "1", "--extreme", "1", "--cutoff", "65536", "--json", timeout=2)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["traces"]["vector"] == {
@@ -238,7 +238,7 @@ def test_traces_deep_cutoff_finishes():
 
 
 def test_classify_deep_cutoff_finishes():
-    # the witness comes from the enclosure at cutoff 105, not 100,000
+    # the witness comes from the Euler enclosure, not from a walk of 100,000 factors
     r = run_cli("classify", "car3", "--cutoff", "100000", "--json", timeout=2)
     assert r.returncode == 0, r.stderr
     witness = json.loads(r.stdout)["classification"]["tracial_rokhlin"]["witness"]

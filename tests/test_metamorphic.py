@@ -11,12 +11,20 @@ Rank exchange: swapping the two eigenspace ranks of every factor gives the
 same action up to conjugacy, so the `classify`, `traces` and `ktheory`
 documents are the same bytes, apart from the echo of an affine tail, which
 is not normalized.
+
+Re-indexing: moving the first affine tail factor into the prefix (A' = AB,
+alpha' = alpha B, gamma' = gamma B, beta and delta kept) gives the same
+action, whose tail settles one factor earlier, so no `classify` decision
+flips, an unknown may become decided only on the re-encoded side, and the
+positive tail product witnesses share a point.
 """
 
 import json
 import random
 
 import pytest
+
+from fractions import Fraction
 
 from afrokhlin import (
     ActionSpec,
@@ -36,7 +44,7 @@ from afrokhlin import (
 )
 from afrokhlin.cli import main
 from afrokhlin.products import range_product
-from specgen import random_spec
+from specgen import random_affine, random_pair, random_positive_affine_spec, random_spec
 
 
 @pytest.mark.parametrize("cutoff", [1, 4, 16, 64, 256])
@@ -164,3 +172,55 @@ def test_rank_exchange_keeps_every_document(tmp_path, capsys):
                 assert a == b, (seed, args, cutoff)
                 pairs += 1
     assert pairs == 1600
+
+
+def _reindexed(spec):
+    """The same action with its first affine tail factor moved into the prefix."""
+    t = spec.tail
+    tail = AffinePowerTail(t.B, t.A * t.B, t.alpha * t.B, t.beta, t.gamma * t.B, t.delta)
+    return ActionSpec(spec.name, spec.prefix + (t.pair_at(1),), tail)
+
+
+def _decisions(classification):
+    """Every decision of a `classify --json` document, by its key path."""
+    found = {"extreme_trace_count": classification["extreme_trace_count"]}
+    for key, value in classification.items():
+        if isinstance(value, dict) and "decision" in value:
+            found[key] = value["decision"]
+    for key, value in classification["dual_facts"].items():
+        found[f"dual_facts/{key}"] = value["decision"]
+    return found
+
+
+def test_reindexing_keeps_every_decision(tmp_path, capsys):
+    rng = random.Random("reindex")
+    decided = crossed = 0
+    for seed in range(300):
+        if seed % 2:
+            spec = random_positive_affine_spec(rng, rng.choice((2, 3, 5, 10)), f"s{seed}")
+        else:
+            prefix = tuple(random_pair(rng) for _ in range(rng.randint(0, 3)))
+            spec = ActionSpec(f"s{seed}", prefix, random_affine(rng))
+        paths = []
+        for side, doc in (("a", spec), ("b", _reindexed(spec))):
+            paths.append(tmp_path / f"{seed}{side}.json")
+            paths[-1].write_text(json.dumps(spec_to_json(doc)))
+        for cutoff in ("1", "4", "64"):
+            a, b = (
+                json.loads(_run(["classify", str(path), "--json", "--cutoff", cutoff], capsys)[1])
+                for path in paths
+            )
+            a, b = a["classification"], b["classification"]
+            da, db = _decisions(a), _decisions(b)
+            for key, first in da.items():
+                if first != "unknown":
+                    assert db[key] == first, (seed, cutoff, key)
+                    decided += 1
+            if a["crossed_product_supernatural"] is not None:
+                assert b["crossed_product_supernatural"] == a["crossed_product_supernatural"]
+            w, v = a["tracial_rokhlin"]["witness"], b["tracial_rokhlin"]["witness"]
+            if w["kind"] == v["kind"] == "positive_tail_product":
+                lower = max(Fraction(w["lower"]), Fraction(v["lower"]))
+                assert lower <= min(Fraction(w["upper"]), Fraction(v["upper"])), (seed, cutoff)
+                crossed += 1
+    assert decided > 6000 and crossed > 500

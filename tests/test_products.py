@@ -17,26 +17,31 @@ from afrokhlin import (
     TailZero,
     classification_report,
     condense,
+    extreme_trace_vector,
     fixture,
     gap_product,
     gap_product_tail,
     is_positive,
 )
 from afrokhlin.intervals import round_down, round_up
+from afrokhlin import classify, products
 from afrokhlin.products import (
     _enclose_gap_product,
+    _euler_tail,
     _exact_walk,
     first_zero_gap_after,
+    fixed_tail,
     range_product,
 )
 from afrokhlin.report import classification_json
 from oracles import (
     dyadic_euler_interval,
     exact_gap_product_tail,
+    q_pochhammer_tail,
     reference_enclose_gap_product,
     sign_tensor_counts,
 )
-from specgen import random_factor_list, random_periodic, random_spec
+from specgen import random_factor_list, random_periodic, random_positive_affine_spec, random_spec
 
 
 def test_gap_examples():
@@ -382,3 +387,98 @@ def test_no_module_but_products_imports_its_private_names():
             if isinstance(node, ast.ImportFrom) and node.module in ("products", "afrokhlin.products"):
                 offenders += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
     assert offenders == []
+
+
+def _check_euler_tail(spec: ActionSpec, m: int, cutoffs) -> None:
+    """The Euler enclosure meets the q-Pochhammer value at twice its working
+    bits and the cutoff enclosure at each cutoff, and is narrower than
+    2**-104 relative to the limit L and to 1 - L."""
+    lo, hi = _euler_tail(spec, m)
+    tail, n0 = spec.tail, len(spec.prefix)
+    # at least twice the working bits: every tail here settles by position 2
+    prec = 2 * (128 + (tail.A * tail.B ** (max(m - n0, 0) + 4)).bit_length())
+    want_lo, want_hi = q_pochhammer_tail(spec, m, prec)
+    assert lo <= want_hi and want_lo <= hi
+    assert (hi - lo) * 2**104 < min(lo, 1 - hi)
+    for c in cutoffs:
+        walk = gap_product_tail(spec, m, c)
+        assert max(lo, walk.lo) <= min(hi, walk.hi), c
+
+
+@pytest.mark.parametrize("B", [2, 3, 5, 10])
+def test_euler_tail_contains_the_limit_and_meets_every_walk(B):
+    rng = random.Random(f"euler/{B}")
+    checked = 0
+    for seed in range(20):
+        spec = random_positive_affine_spec(rng, B, f"s{seed}")
+        n0 = len(spec.prefix)
+        for m in (n0, n0 + 2, rng.randint(250, 1000)):
+            if first_zero_gap_after(spec, m) is None:
+                cutoffs = (1, rng.randint(2, 64), rng.randint(65, 1000))
+                _check_euler_tail(spec, m, cutoffs)
+                checked += 1
+    assert checked >= 45
+
+
+@pytest.mark.parametrize("A, B, e", [(1, 3, 1), (5, 3, 7), (9, 3, 13), (1, 5, 2), (3, 5, 7)])
+def test_euler_tail_near_a_zero_gap(A, B, e):
+    # A * B = 2e + 1: the first tail gap is 1 / (A * B), the least L the width
+    # rule allows for, and z = 1 - 1 / (A * B) needs the most terms
+    for tail in (
+        AffinePowerTail(B=B, A=A, alpha=A, beta=-e, gamma=0, delta=e),
+        AffinePowerTail(B=B, A=A, alpha=0, beta=e, gamma=A, delta=-e),
+    ):
+        assert tail.settle_depth() == 1
+        for prefix in ((), (RankPair(3, 1),)):
+            _check_euler_tail(ActionSpec("near", prefix, tail), 0, (1, 2, 64))
+
+
+def test_fixed_tail_falls_back_to_one_cutoff_walk(monkeypatch):
+    # a key that reads the exact ends straddles every bracket: one walk, at
+    # the cutoff, gives the result
+    car3 = fixture("car3")
+    want = gap_product_tail(car3, 3, 100)
+    calls = []
+    real = products.gap_product_tail
+    monkeypatch.setattr(products, "gap_product_tail", lambda *a: calls.append(a) or real(*a))
+    assert fixed_tail(car3, 3, 100, lambda lo, hi: (lo, hi)) == want
+    assert calls == [(car3, 3, 100)]
+
+
+def test_fixed_tail_walks_when_the_cutoff_remainder_exceeds_a_quarter(monkeypatch):
+    # settle depth 2 and e = 3: r_c = 6 / (2 * 2**(2 + c)) is 3/8 at cutoff 1
+    # and 3/16 at cutoff 2
+    tail = AffinePowerTail(B=2, A=2, alpha=2, beta=-3, gamma=0, delta=3)
+    spec = ActionSpec("slow", (), tail)
+    assert tail.settle_depth() == 2 and tail.remainder_bound(3) == Fraction(3, 8)
+    euler, real = [], products._euler_tail
+    monkeypatch.setattr(products, "_euler_tail", lambda *a: euler.append(a) or real(*a))
+    key = classify._witness_ends
+    got = fixed_tail(spec, 0, 1, key)
+    assert euler == [] and got == gap_product_tail(spec, 0, 1)
+    got, walk = fixed_tail(spec, 0, 2, key), gap_product_tail(spec, 0, 2)
+    assert euler == [(spec, 0)] and key(got.lo, got.hi) == key(walk.lo, walk.hi)
+
+
+@pytest.mark.parametrize("cutoff", [64, 512])
+def test_report_and_extreme_vectors_of_car3_walk_no_tail(monkeypatch, cutoff):
+    # every rendered car3 tail end comes from the Euler enclosure
+    counts = {"walk": 0, "euler": 0}
+    real_walk, real_euler = products.gap_product_tail, products._euler_tail
+
+    def walk(*args):
+        counts["walk"] += 1
+        return real_walk(*args)
+
+    def euler(*args):
+        counts["euler"] += 1
+        return real_euler(*args)
+
+    monkeypatch.setattr(products, "gap_product_tail", walk)
+    monkeypatch.setattr(products, "_euler_tail", euler)
+    car3 = fixture("car3")
+    classification_report(car3, cutoff)
+    for stage in (1, 2, 10, 100, 1000):
+        for extreme in (0, 1):
+            extreme_trace_vector(car3, extreme, stage, cutoff)
+    assert counts == {"walk": 0, "euler": 11}

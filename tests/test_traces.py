@@ -185,53 +185,63 @@ def _tail_cutoffs(monkeypatch) -> list[int]:
     return cutoffs
 
 
+def _euler_starts(monkeypatch, enclosure=None) -> list[int]:
+    """Record the range start of every `_euler_tail` call made by `fixed_tail`,
+    and make it return ``enclosure`` when one is given."""
+    starts = []
+    real = products._euler_tail
+    monkeypatch.setattr(
+        products,
+        "_euler_tail",
+        lambda spec, m: starts.append(m) or (enclosure or real(spec, m)),
+    )
+    return starts
+
+
 @pytest.mark.parametrize("cutoff", [1, 8, 64, 200, 1000])
 def test_extreme_vectors_render_as_the_cutoff_reference(monkeypatch, cutoff):
-    # weights read from a shallow enclosure render as those of the cutoff one,
+    # weights read from the Euler enclosure render as those of the cutoff one,
     # at shallow stages and at stages >= 250, where (1 - L)/2 is about 2^-stage
     rng = random.Random(f"traces/{cutoff}")
-    cutoffs = _tail_cutoffs(monkeypatch)
+    cutoffs, starts = _tail_cutoffs(monkeypatch), _euler_starts(monkeypatch)
     checked = shallow = 0
     for seed in range(300):
         spec = random_spec(rng, f"s{seed}")
         n0 = len(spec.prefix)
         for n in (n0, n0 + 2, rng.randint(250, 400)):
             extreme = rng.randint(0, 1)
-            del cutoffs[:]
+            del cutoffs[:], starts[:]
             try:
                 tv = extreme_trace_vector(spec, extreme, n, cutoff)
             except (UniqueTraceError, UndecidedError):
                 continue
             assert trace_vector_json(tv) == reference_trace_vector(spec, extreme, n, cutoff)
             checked += 1
-            # the last enclosure made is the shallow one when it served
-            shallow += cutoffs[-1] < cutoff
-    assert checked > 200 and shallow >= (150 if cutoff >= 200 else 0)
+            # no walk but the one at the cutoff, after an Euler enclosure or alone
+            assert starts in ([], [n]) and cutoffs in ([], [cutoff]) and starts + cutoffs
+            shallow += not cutoffs
+    assert checked > 200 and shallow >= (150 if cutoff >= 64 else 0)
 
 
 def test_extreme_vector_falls_back_on_a_straddle(monkeypatch):
-    # car3 from stage 1 has the shallow cutoff 105; around L = 1/5, the weight
-    # r = (1 + L)/2 sits on the grid point 0.6
+    # car3 from stage 1; around L = 1/5, the weight r = (1 + L)/2 sits on the
+    # grid point 0.6
     car3 = fixture("car3")
     want = reference_trace_vector(car3, 1, 1, 128)
-    real = products.gap_product_tail
     L, eps = Fraction(1, 5), Fraction(1, 10**20)
     for lo, hi, fixed in ((L + eps, L + 2 * eps, True), (L - eps, L + eps, False)):
         monkeypatch.undo()
-        monkeypatch.setattr(
-            products,
-            "gap_product_tail",
-            lambda spec, m, c: TailPositive(lo, hi) if c == 105 else real(spec, m, c),
-        )
+        starts = _euler_starts(monkeypatch, (lo, hi))
         cutoffs = _tail_cutoffs(monkeypatch)
         tv = extreme_trace_vector(car3, 1, 1, 128)
+        assert starts == [1]
         if fixed:
-            assert cutoffs == [105]
+            assert cutoffs == []
             assert trace_vector_json(tv) == {
                 "stage": 1,
                 "r": {"lo": "0.6", "hi": "0.600000000001"},
                 "s": {"lo": "0.399999999999", "hi": "0.4"},
             }
         else:
-            assert cutoffs == [105, 128] and trace_vector_json(tv) == want
+            assert cutoffs == [128] and trace_vector_json(tv) == want
 
