@@ -11,9 +11,9 @@ product's simplicity, supernatural number and extreme trace count from them;
 `extreme_trace_count` alone reads the count from the tail rule, no enclosure.
 
 The tracial no witness is the cutoff enclosure of the tail product rounded
-to 12 digits, read through `products.fixed_tail`: from the Euler enclosure
-of the limit when that fixes those bytes, and from the cutoff one only on a
-straddle.
+to 12 digits, read from `products.gap_product_tail` with the rounding as its
+key: from the Euler enclosure of the limit when that fixes those bytes, and
+from the cutoff one only on a straddle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .actions import (
 )
 from .citations import cite
 from .intervals import round_down, round_up
-from .products import DEFAULT_CUTOFF, first_zero_gap_after, fixed_tail
+from .products import DEFAULT_CUTOFF, first_zero_gap_after, gap_product_tail
 
 YES = "yes"
 NO = "no"
@@ -115,7 +115,7 @@ def tracial_rokhlin_verdict(spec: ActionSpec, cutoff: int = DEFAULT_CUTOFF) -> V
         m = len(spec.prefix)
     else:
         m = max(_zero_gap_indices(spec), default=0)
-    result = fixed_tail(spec, m, cutoff, _witness_ends)
+    result = gap_product_tail(spec, m, cutoff, _witness_ends)
     if result.hi == 0:
         witness: dict = {"kind": "vanishing_tail_products"}
         if result.zero_index is not None:

@@ -14,10 +14,11 @@ smaller rank settles to zero) P is the exact limit and stays an exact
 fraction.  Otherwise P * (1 - r) lies within about P * r**2 of the limit, so
 P is needed to about 2 * log2(1/r) bits and no more: it is enclosed by dyadic
 numbers rounded outward (lower end down, upper end up) at a working precision
-derived from r alone.  A rendering that rounds the ends outward, as the
-tracial witness and the trace weights do, is read through `fixed_tail`: from
-the Euler enclosure of the limit of a positive affine tail, `_euler_tail`,
-and from the cutoff walk only on a straddle.
+derived from r alone.  A caller that renders the ends rounded outward, as
+the tracial witness and the trace weights do, passes `gap_product_tail` the
+key it renders with: the ends then come from the Euler enclosure of the
+limit of a positive affine tail, `_euler_tail`, and from the cutoff walk
+only on a straddle.
 
 Every product reads the factors after a range start from one stream,
 `ActionSpec.split_stream`, in split form: p - q = x*P + y and p + q = A*P,
@@ -140,7 +141,7 @@ def first_zero_gap_after(spec: ActionSpec, stage: int) -> int | None:
 
 
 def gap_product_tail(
-    spec: ActionSpec, m: int, cutoff: int = DEFAULT_CUTOFF
+    spec: ActionSpec, m: int, cutoff: int = DEFAULT_CUTOFF, key=None
 ) -> RatInterval:
     """Decide the limit of gap_product(spec, m, n) as n grows.
 
@@ -149,6 +150,41 @@ def gap_product_tail(
     1 - gap) when hi == 0; TailPositive, a certified enclosure, when lo > 0;
     and the undecided RatInterval(0, partial product) when lo == 0 < hi, as
     the geometric certificate does not engage within ``cutoff`` tail factors.
+
+    A positive tail with a nonzero remainder bound is an affine tail with
+    base B and |c| = A.  Its cutoff enclosure walks to a remainder bound r_c
+    = remainder_bound(b + cutoff), from the base depth b = max(settle depth,
+    m - prefix length): P_c * (1 - r_c) <= L <= P_c for the partial product
+    P_c and the limit L, so P_c * (1 - r_c) lies only about P_c * r_c**2
+    below L, and the rounding error of `_gap_walk` must stay a
+    2**-_GUARD_BITS share of r_c**2.  At the precision prec taken below, the
+    walk keeps P_c within a factor 1 -+ delta, delta = 4N / 2**prec <= r_c**2
+    / 2**62 for the N factors walked, and `_floor_bits` loses less than 2**(1
+    - prec) more.  An exact enclosure has delta = 0.
+
+    With a ``key``, each component of which reads one end and is monotone in
+    it, as a rendering rounded outward is, the result E may instead be any
+    enclosure with key(E.lo, E.hi) equal to key at the cutoff ends.  When r_c
+    <= 2**-40, the Euler enclosure [l, u] of L, `_euler_tail`, brackets those
+    ends:
+
+        lower_c in [l * (1 - 2 r_c), u],  upper_c in [l, min(u * (1 + 2 r_c), 1)].
+
+    The inner ends hold as lower_c <= L <= u and upper_c >= L >= l.  For the
+    outer ones, lower_c >= l * (1 - r_c) * (1 - 2 delta) >= l * (1 - 2 r_c),
+    and upper_c <= P_c * (1 + delta) <= u * (1 + delta) / (1 - r_c) <= u * (1
+    + 2 r_c), as delta <= r_c * (1 - 2 r_c) when r_c <= 1/4.  When key takes
+    one value at the outer ends and at the inner ones, monotonicity fixes it
+    on both brackets, and the outer enclosure is returned; otherwise the
+    cutoff enclosure is.
+
+    The brackets are narrow against a 12-digit grid: round_down and round_up
+    step by at least 10^-12 > 2^-40 of any value in (0, 1].  The Euler
+    enclosure is narrower than 2**-(40 + _GUARD_BITS) relative to L and to
+    1 - L, and the slack 2 r_c is at most 2 * B**-cutoff relative to L and
+    4 * B**-cutoff relative to 1 - L >= 2e / (A * B**(b + 1)), as A * B**b >=
+    2e for the smaller rank e, so ends read from (1 - L) / 2 are fixed alike.
+    Above r_c = 2**-40 the slack can span a grid step, so no sum is tried.
     """
     if m < 0:
         raise ValueError(f"range start must be >= 0, got {m}")
@@ -175,9 +211,12 @@ def gap_product_tail(
     # a nonzero remainder shrinks geometrically: go cutoff factors deeper
     depth += cutoff
     r = tail.remainder_bound(depth)
+    if key is not None and r <= Fraction(1, 1 << 40):
+        lo, hi = _euler_tail(spec, m)
+        outer_lo, outer_hi = lo * (1 - 2 * r), min(hi * (1 + 2 * r), 1)
+        if key(outer_lo, outer_hi) == key(hi, lo):
+            return TailPositive(outer_lo, outer_hi)
     n = n0 + depth
-    # P * (1 - r) lies only about P * r**2 below the limit, so the rounding
-    # error of the n - m factors must stay a 2**-_GUARD_BITS share of r**2
     r_bits = (r.denominator // r.numerator).bit_length()
     prec = 2 * r_bits + (n - m).bit_length() + _GUARD_BITS
     lo, hi = _enclose_gap_product(spec, m, n, prec)
@@ -187,58 +226,6 @@ def gap_product_tail(
         # too, instead of adding the bits of r to it
         lower = _floor_bits(lower, prec)
     return TailPositive(lower, min(hi, 1))
-
-
-def fixed_tail(spec: ActionSpec, m: int, cutoff: int, key) -> RatInterval:
-    """An enclosure E of the tail product from m with key(E.lo, E.hi) equal to
-    key at the ends of `gap_product_tail(spec, m, cutoff)`, read from the
-    Euler enclosure of `_euler_tail` when that fixes it; each component of
-    ``key`` reads one end and is monotone in it, as a rendering rounded
-    outward is.
-
-    A positive tail with a nonzero remainder bound is an affine tail with
-    base B and |c| = A.  When it has no zero gap after m and settles by the
-    cutoff, the cutoff enclosure ends a remainder bound r_c =
-    remainder_bound(b + cutoff) deep, from the base depth b = max(settle
-    depth, m - prefix length).  If r_c <= 1/4, the Euler enclosure [l, u] of
-    the limit L brackets the cutoff ends:
-
-        lower_c in [l * (1 - 2 r_c), u],  upper_c in [l, min(u * (1 + 2 r_c), 1)].
-
-    The inner ends hold as lower_c <= L <= u and upper_c >= L >= l.  For the
-    outer ones, the partial product P_c satisfies P_c * (1 - r_c) <= L <= P_c.
-    `_gap_walk` keeps P_c within a factor 1 -+ delta, delta = 4N / 2**prec <=
-    r_c**2 / 2**62 at the precision of `gap_product_tail`, and `_floor_bits`
-    loses less than 2**(1 - prec) more, so lower_c >= l * (1 - r_c) * (1 - 2
-    delta) >= l * (1 - 2 r_c), and upper_c <= P_c * (1 + delta) <= u * (1 +
-    delta) / (1 - r_c) <= u * (1 + 2 r_c), as delta <= r_c * (1 - 2 r_c) when
-    r_c <= 1/4.  An exact enclosure has delta = 0.  When key takes one value
-    at the outer ends and at the inner ones, monotonicity fixes it on both
-    brackets, and the outer enclosure is returned; otherwise the cutoff
-    enclosure is.
-
-    The brackets are narrow against a 12-digit grid: round_down and round_up
-    step by at least 10^-12 > 2^-40 of any value in (0, 1].  The Euler
-    enclosure is narrower than 2**-(40 + _GUARD_BITS) relative to L and to
-    1 - L, and the slack 2 r_c is at most 2 * B**-cutoff relative to L and
-    4 * B**-cutoff relative to 1 - L >= 2e / (A * B**(b + 1)), as A * B**b >=
-    2e for the smaller rank e, so ends read from (1 - L) / 2 are fixed alike.
-    """
-    tail = spec.tail
-    if (
-        tail is not None
-        and tail.divergence() is None
-        and tail.remainder_bound(0)
-        and first_zero_gap_after(spec, m) is None
-    ):
-        settle = tail.settle_depth()
-        r = tail.remainder_bound(max(settle, m - len(spec.prefix)) + cutoff)
-        if settle <= cutoff and 4 * r <= 1:
-            lo, hi = _euler_tail(spec, m)
-            outer_lo, outer_hi = lo * (1 - 2 * r), min(hi * (1 + 2 * r), 1)
-            if key(outer_lo, outer_hi) == key(hi, lo):
-                return TailPositive(outer_lo, outer_hi)
-    return gap_product_tail(spec, m, cutoff)
 
 
 def _euler_tail(spec: ActionSpec, m: int) -> tuple[Fraction, Fraction]:

@@ -9,10 +9,11 @@ L applied to an endpoint (r, 1 - r); its two extreme traces have weights
 ((1 + L)/2, (1 - L)/2) and the swap.  Every weight is a `RatInterval` inside
 [0, 1], exact when lo == hi: the two ends of the certified enclosure of L give
 the ends of the weight enclosures, so no interval arithmetic is needed.  The
-enclosure is read through `products.fixed_tail`, so it may be wider than the
-cutoff one, with the same 12-digit rendering of every weight.  When
-every tail product vanishes the simplex is a point and only the flip-invariant
-trace (1/2, 1/2) exists; extreme-trace queries then refuse.
+enclosure is read from `products.gap_product_tail` with the weight rendering
+as its key, so it may be wider than the cutoff one, with the same 12-digit
+rendering of every weight.  When every tail product vanishes the simplex is a
+point and only the flip-invariant trace (1/2, 1/2) exists; extreme-trace
+queries then refuse.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from .actions import ActionSpec
 from .classify import UNKNOWN, UndecidedError, extreme_trace_count
 from .intervals import RatInterval, round_down, round_up
-from .products import DEFAULT_CUTOFF, fixed_tail
+from .products import DEFAULT_CUTOFF, gap_product_tail
 
 
 class UniqueTraceError(ValueError):
@@ -82,7 +83,7 @@ def extreme_trace_vector(
             f"trace count undecided at cutoff {cutoff} for action {spec.name!r}"
         )
     # the tail settles by the cutoff, so the tail product is decided
-    tail = fixed_tail(spec, n, cutoff, _weight_ends)
+    tail = gap_product_tail(spec, n, cutoff, _weight_ends)
     r = RatInterval((1 + tail.lo) / 2, (1 + tail.hi) / 2)
     s = RatInterval((1 - tail.hi) / 2, (1 - tail.lo) / 2)
     if extreme == 1:

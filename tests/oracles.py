@@ -13,8 +13,8 @@ the same bit-length shift rule, the positivity scan `products.cone_scan` by
 the exact stage products it rounds, the Bratteli diagram by its int stage
 sizes rendered with ``str()``, the tracial
 witness and the rendered extreme trace weights by the cutoff enclosure that
-the Euler enclosure of `products.fixed_tail` skips, that Euler enclosure
-by mpmath's q-Pochhammer symbol,
+the Euler enclosure of a keyed `products.gap_product_tail` skips, that Euler
+enclosure by mpmath's q-Pochhammer symbol,
 the tail-family facts by scanning the factors of a tail one position at a
 time, G-set validation by checking every triple of the group and action
 axioms, greedy towers by scanning every row for a fixed point and

@@ -22,7 +22,7 @@ from afrokhlin import (
     strict_rokhlin_verdict,
     tracial_rokhlin_verdict,
 )
-from afrokhlin import classify, products
+from afrokhlin import classify, products, traces
 from afrokhlin.citations import CITATIONS
 from afrokhlin.traces import UniqueTraceError
 from oracles import reference_tracial_witness
@@ -180,18 +180,24 @@ def test_tracial_unknown_at_tiny_cutoff_then_decided():
 
 
 def _tail_cutoffs(monkeypatch) -> list[int]:
-    """Record the cutoff of every `gap_product_tail` call made by `fixed_tail`."""
+    """Record the cutoff of every cutoff walk, `_enclose_gap_product`, that
+    `gap_product_tail` starts: the walk ends that many factors past the base
+    depth max(settle depth, m - prefix length)."""
     cutoffs = []
-    real = products.gap_product_tail
-    monkeypatch.setattr(
-        products, "gap_product_tail", lambda spec, m, c: cutoffs.append(c) or real(spec, m, c)
-    )
+    real = products._enclose_gap_product
+
+    def walk(spec, m, n, prec):
+        n0 = len(spec.prefix)
+        cutoffs.append(n - n0 - max(spec.tail.settle_depth(), m - n0))
+        return real(spec, m, n, prec)
+
+    monkeypatch.setattr(products, "_enclose_gap_product", walk)
     return cutoffs
 
 
 def _euler_starts(monkeypatch, enclosure=None) -> list[int]:
-    """Record the range start of every `_euler_tail` call made by `fixed_tail`,
-    and make it return ``enclosure`` when one is given."""
+    """Record the range start of every `_euler_tail` call made by
+    `gap_product_tail`, and make it return ``enclosure`` when one is given."""
     starts = []
     real = products._euler_tail
     monkeypatch.setattr(
@@ -210,21 +216,25 @@ def test_tracial_witness_matches_cutoff_reference(monkeypatch, cutoff):
     shallow = 0
     for _ in range(200):
         spec = random_spec(rng)
+        # the reference walks too, so it goes before the counted call
+        want = reference_tracial_witness(spec, cutoff)
         del cutoffs[:], starts[:]
         witness = tracial_rokhlin_verdict(spec, cutoff).witness
-        assert witness == reference_tracial_witness(spec, cutoff)
-        # no walk but the one at the cutoff, after an Euler enclosure or alone
-        assert cutoffs in ([], [cutoff]) and len(starts + cutoffs) >= 1
+        assert witness == want
+        # no walk but the one at the cutoff, after an Euler enclosure or
+        # alone, and one of them for a positive tail with a nonzero remainder
+        assert cutoffs in ([], [cutoff])
+        geometric = witness["kind"] == "positive_tail_product" and spec.tail.remainder_bound(0)
+        assert bool(starts + cutoffs) == bool(geometric)
         if starts:
             # the Euler bracket is read only for a positive tail with a
-            # nonzero remainder, settled by the cutoff, with r_c <= 1/4
+            # nonzero remainder, settled by the cutoff, with r_c <= 2**-40
             tail, m = spec.tail, witness["m"]
             settle = tail.settle_depth()
-            assert starts == [m] and witness["kind"] == "positive_tail_product"
-            assert tail.remainder_bound(0) and settle <= cutoff
+            assert starts == [m] and geometric and settle <= cutoff
             base = max(settle, m - len(spec.prefix))
-            assert tail.remainder_bound(base + cutoff) <= Fraction(1, 4)
-        shallow += not cutoffs
+            assert tail.remainder_bound(base + cutoff) <= Fraction(1, 2**40)
+        shallow += bool(starts) and not cutoffs
     # a bracket 2 r_c wide fixes 12 digits only at cutoffs of about 40 / log2(B)
     assert shallow >= (40 if cutoff >= 64 else 0)
 
@@ -252,7 +262,7 @@ def test_fixed_witness_falls_back_on_a_straddle(monkeypatch):
         monkeypatch.undo()
         starts = _euler_starts(monkeypatch, (lo, hi))
         cutoffs = _tail_cutoffs(monkeypatch)
-        got = products.fixed_tail(car3, 1, 128, key)
+        got = products.gap_product_tail(car3, 1, 128, key)
         assert starts == [1]
         if fixed is None:
             assert cutoffs == [128] and got == full
@@ -296,25 +306,28 @@ def count_calls(monkeypatch, modules, names) -> dict[str, int]:
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_report_computes_each_verdict_once(monkeypatch, name):
-    names = ("strict_rokhlin_verdict", "tracial_rokhlin_verdict", "outer_verdict", "fixed_tail")
+    names = ("strict_rokhlin_verdict", "tracial_rokhlin_verdict", "outer_verdict", "gap_product_tail")
     counts = count_calls(monkeypatch, [classify], names)
-    tails = count_calls(monkeypatch, [products], ["gap_product_tail", "_euler_tail"])
+    tails = count_calls(monkeypatch, [products], ["_enclose_gap_product", "_euler_tail"])
     classification_report(fixture(name))
-    # car3 is the one fixture with a positive tail: its end is Euler's
+    # car3 is the one fixture with a positive tail: its end is Euler's, and
+    # no fixture walks to the cutoff
     euler = name == "car3"
     assert counts == dict.fromkeys(names, 1)
-    assert tails == {"gap_product_tail": 1 - euler, "_euler_tail": int(euler)}
+    assert tails == {"_enclose_gap_product": 0, "_euler_tail": int(euler)}
 
 
 def test_extreme_trace_vector_makes_one_tail_call(monkeypatch):
-    counts = count_calls(monkeypatch, [products], ["gap_product_tail", "_euler_tail"])
+    counts = count_calls(monkeypatch, [traces], ["gap_product_tail"])
+    tails = count_calls(monkeypatch, [products], ["_enclose_gap_product", "_euler_tail"])
     extreme_trace_vector(fixture("car3"), 1, 5, 64)
-    assert counts == {"gap_product_tail": 0, "_euler_tail": 1}
+    assert counts == {"gap_product_tail": 1}
+    assert tails == {"_enclose_gap_product": 0, "_euler_tail": 1}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_extreme_trace_count_makes_no_tail_call(monkeypatch, name):
-    counts = count_calls(monkeypatch, [products], ["gap_product_tail"])
+    counts = count_calls(monkeypatch, [products, classify], ["gap_product_tail"])
     extreme_trace_count(fixture(name))
     assert counts["gap_product_tail"] == 0
 

@@ -30,7 +30,6 @@ from afrokhlin.products import (
     _euler_tail,
     _exact_walk,
     first_zero_gap_after,
-    fixed_tail,
     range_product,
 )
 from afrokhlin.report import classification_json
@@ -433,38 +432,56 @@ def test_euler_tail_near_a_zero_gap(A, B, e):
             _check_euler_tail(ActionSpec("near", prefix, tail), 0, (1, 2, 64))
 
 
-def test_fixed_tail_falls_back_to_one_cutoff_walk(monkeypatch):
+def test_keyed_tail_falls_back_to_one_cutoff_walk(monkeypatch):
     # a key that reads the exact ends straddles every bracket: one walk, at
-    # the cutoff, gives the result
+    # the cutoff, gives the result of the keyless call
     car3 = fixture("car3")
     want = gap_product_tail(car3, 3, 100)
-    calls = []
-    real = products.gap_product_tail
-    monkeypatch.setattr(products, "gap_product_tail", lambda *a: calls.append(a) or real(*a))
-    assert fixed_tail(car3, 3, 100, lambda lo, hi: (lo, hi)) == want
-    assert calls == [(car3, 3, 100)]
+    walks, real = [], products._enclose_gap_product
+    monkeypatch.setattr(products, "_enclose_gap_product", lambda *a: walks.append(a) or real(*a))
+    assert gap_product_tail(car3, 3, 100, lambda lo, hi: (lo, hi)) == want
+    assert [a[1:3] for a in walks] == [(3, 103)]
 
 
-def test_fixed_tail_walks_when_the_cutoff_remainder_exceeds_a_quarter(monkeypatch):
-    # settle depth 2 and e = 3: r_c = 6 / (2 * 2**(2 + c)) is 3/8 at cutoff 1
-    # and 3/16 at cutoff 2
-    tail = AffinePowerTail(B=2, A=2, alpha=2, beta=-3, gamma=0, delta=3)
-    spec = ActionSpec("slow", (), tail)
-    assert tail.settle_depth() == 2 and tail.remainder_bound(3) == Fraction(3, 8)
+def test_keyed_tail_sums_euler_only_from_a_cutoff_remainder_of_2_pow_minus_40(monkeypatch):
+    # car3 from m = 1 has r_c = 2**-(1 + c): 2**-39 at cutoff 38, 2**-40 at 39
+    car3, key = fixture("car3"), classify._witness_ends
+    assert car3.tail.remainder_bound(1 + 38) == Fraction(1, 2**39)
     euler, real = [], products._euler_tail
     monkeypatch.setattr(products, "_euler_tail", lambda *a: euler.append(a) or real(*a))
-    key = classify._witness_ends
-    got = fixed_tail(spec, 0, 1, key)
-    assert euler == [] and got == gap_product_tail(spec, 0, 1)
-    got, walk = fixed_tail(spec, 0, 2, key), gap_product_tail(spec, 0, 2)
-    assert euler == [(spec, 0)] and key(got.lo, got.hi) == key(walk.lo, walk.hi)
+    got = gap_product_tail(car3, 1, 38, key)
+    assert euler == [] and got == gap_product_tail(car3, 1, 38)
+    got, walk = gap_product_tail(car3, 1, 39, key), gap_product_tail(car3, 1, 39)
+    assert euler == [(car3, 1)] and key(got.lo, got.hi) == key(walk.lo, walk.hi)
+
+
+def _car3_near_limit(bits: int, sign: int) -> K0Element:
+    """A car3 class at stage 1 whose threshold u / |v| lies 2**-bits from the
+    lower end of the cutoff-1024 enclosure, itself within 2**-1000 of L."""
+    ratio = gap_product_tail(fixture("car3"), 1, 1024).lo + sign * Fraction(1, 2**bits)
+    return K0Element(1, ratio.numerator + ratio.denominator, ratio.numerator - ratio.denominator)
+
+
+@pytest.mark.parametrize("cutoff", [64, 128])
+@pytest.mark.parametrize("bits", [60, 200])
+def test_is_positive_near_the_limit_sums_no_euler(monkeypatch, bits, cutoff):
+    # the ladder's enclosures sit within 2**-60 .. 2**-200 of the threshold,
+    # where a bracket straddles, so is_positive passes no key
+    euler, real = [], products._euler_tail
+    monkeypatch.setattr(products, "_euler_tail", lambda *a: euler.append(a) or real(*a))
+    car3 = fixture("car3")
+    above = is_positive(car3, _car3_near_limit(bits, 1), cutoff)
+    assert above.is_yes and above.witness == {"kind": "in_cone_at_stage", "stage": bits}
+    below = is_positive(car3, _car3_near_limit(bits, -1), cutoff)
+    assert below.is_no and below.witness["kind"] == "tail_threshold_exceeded"
+    assert euler == []
 
 
 @pytest.mark.parametrize("cutoff", [64, 512])
 def test_report_and_extreme_vectors_of_car3_walk_no_tail(monkeypatch, cutoff):
     # every rendered car3 tail end comes from the Euler enclosure
     counts = {"walk": 0, "euler": 0}
-    real_walk, real_euler = products.gap_product_tail, products._euler_tail
+    real_walk, real_euler = products._enclose_gap_product, products._euler_tail
 
     def walk(*args):
         counts["walk"] += 1
@@ -474,7 +491,7 @@ def test_report_and_extreme_vectors_of_car3_walk_no_tail(monkeypatch, cutoff):
         counts["euler"] += 1
         return real_euler(*args)
 
-    monkeypatch.setattr(products, "gap_product_tail", walk)
+    monkeypatch.setattr(products, "_enclose_gap_product", walk)
     monkeypatch.setattr(products, "_euler_tail", euler)
     car3 = fixture("car3")
     classification_report(car3, cutoff)

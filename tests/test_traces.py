@@ -19,6 +19,7 @@ from afrokhlin import (
     invariant_trace_vector,
 )
 from afrokhlin import products
+from afrokhlin.products import first_zero_gap_after
 from afrokhlin.report import trace_vector_json
 from afrokhlin.traces import TraceVector
 from oracles import MixingMatrix, exact_gap_product_tail, reference_trace_vector
@@ -176,18 +177,24 @@ def test_trace_of_eta_car3():
 
 
 def _tail_cutoffs(monkeypatch) -> list[int]:
-    """Record the cutoff of every `gap_product_tail` call made by `fixed_tail`."""
+    """Record the cutoff of every cutoff walk, `_enclose_gap_product`, that
+    `gap_product_tail` starts: the walk ends that many factors past the base
+    depth max(settle depth, m - prefix length)."""
     cutoffs = []
-    real = products.gap_product_tail
-    monkeypatch.setattr(
-        products, "gap_product_tail", lambda spec, m, c: cutoffs.append(c) or real(spec, m, c)
-    )
+    real = products._enclose_gap_product
+
+    def walk(spec, m, n, prec):
+        n0 = len(spec.prefix)
+        cutoffs.append(n - n0 - max(spec.tail.settle_depth(), m - n0))
+        return real(spec, m, n, prec)
+
+    monkeypatch.setattr(products, "_enclose_gap_product", walk)
     return cutoffs
 
 
 def _euler_starts(monkeypatch, enclosure=None) -> list[int]:
-    """Record the range start of every `_euler_tail` call made by `fixed_tail`,
-    and make it return ``enclosure`` when one is given."""
+    """Record the range start of every `_euler_tail` call made by
+    `gap_product_tail`, and make it return ``enclosure`` when one is given."""
     starts = []
     real = products._euler_tail
     monkeypatch.setattr(
@@ -215,11 +222,15 @@ def test_extreme_vectors_render_as_the_cutoff_reference(monkeypatch, cutoff):
                 tv = extreme_trace_vector(spec, extreme, n, cutoff)
             except (UniqueTraceError, UndecidedError):
                 continue
+            # no walk but the one at the cutoff, after an Euler enclosure or
+            # alone, and one of them for a positive tail with a nonzero
+            # remainder; the reference walks too, so these are read before it
+            assert starts in ([], [n]) and cutoffs in ([], [cutoff])
+            geometric = spec.tail.remainder_bound(0) and first_zero_gap_after(spec, n) is None
+            assert bool(starts + cutoffs) == bool(geometric)
+            shallow += bool(starts) and not cutoffs
             assert trace_vector_json(tv) == reference_trace_vector(spec, extreme, n, cutoff)
             checked += 1
-            # no walk but the one at the cutoff, after an Euler enclosure or alone
-            assert starts in ([], [n]) and cutoffs in ([], [cutoff]) and starts + cutoffs
-            shallow += not cutoffs
     assert checked > 200 and shallow >= (150 if cutoff >= 64 else 0)
 
 
